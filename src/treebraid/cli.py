@@ -2,7 +2,8 @@
 Command-line surface.
 
 Exit codes: 0 success / decided true, 1 decided false (iso) or failed
-verification, 2 invalid input or usage, 3 reconstruction Undefined.
+verification, 2 invalid input or usage, 3 reconstruction Undefined,
+4 internal error (an uncaught exception, reported on stderr).
 """
 
 from __future__ import annotations
@@ -226,9 +227,15 @@ def build_parser():
     return p
 
 
+_parser = None  # built on the first call to main, then reused
+
+
 def main(argv=None):
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -237,6 +244,11 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     except BrokenPipeError:
         return 0
+    except Exception as exc:
+        # exit 1 means "not isomorphic"; a fault must not read as an answer
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

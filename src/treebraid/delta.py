@@ -1,6 +1,6 @@
 """
 The simplicial complex Delta carrying the exterior-face-algebra
-structure of H*(B_nT), CUB data of critical cells, the neighborhood
+structure of H*(B_nT), the CUB table of its vertices, the neighborhood
 hierarchy, reconstruction of the defining tree from Delta, strand-count
 detection, and the isomorphism decision for n in {4, 5}.
 """
@@ -8,7 +8,8 @@ detection, and the isomorphism decision for n in {4, 5}.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple, Optional
+from itertools import combinations
+from typing import NamedTuple
 
 from . import cells as _cells
 from . import forms as _forms
@@ -106,13 +107,6 @@ def cup_constant(c, dprime, n):
     return 1
 
 
-def _r_key(c):
-    # cross-vertex <_r comparisons are unaffected by the Type I/II swap,
-    # and same-vertex pairs never have an upper bound, so the plain
-    # lexicographic key suffices here
-    return (c.a, -c.x[0], c.d, c.x)
-
-
 def m_cup_adjacent(c, cp, t, n):
     """Whether Mc* cup M(cp)* is nonzero, by the combinatorial
     characterization: keyed to the <_r-smaller cell s of the pair,
@@ -122,7 +116,10 @@ def m_cup_adjacent(c, cp, t, n):
     the other cell is not s's smallest occupied direction."""
     if c == cp or c.a == cp.a or not _cells.upper_bound_exists(c, cp, t):
         return False
-    small, other = sorted((c, cp), key=_r_key)
+    # cross-vertex <_r comparisons are unaffected by the Type I/II swap,
+    # and same-vertex pairs never have an upper bound, so the plain
+    # lexicographic key suffices here
+    small, other = sorted((c, cp), key=_forms.ROrder.key)
     s_critical = _cells.lub_is_critical(c, cp, t)
     kind = _forms.classify_exceptional(small, n) if n == 5 else None
     if kind == "I":
@@ -160,34 +157,30 @@ class CubData(NamedTuple):
     constant: int         # epsilon_c = epsilon_c(d_c)
 
 
-def m_cup_neighborhood(c, t, n, delta=None):
-    """All critical 1-cells c1 with Mc* cup Mc1* nonzero."""
-    if delta is None:
-        delta = build_delta(t, n)
-    return [c1 for c1 in delta.cells
-            if c1 is not None and c1 != c and m_cup_adjacent(c, c1, t, n)]
+def cub_table(delta, t, n):
+    """cell -> CubData for every cell of delta (built on t) with a
+    nonempty neighborhood.  Raises ValueError when the neighbors of a
+    cell do not all lie in one direction from it."""
+    nb = delta.neighborhoods()
+    out = {}
+    for i, c in enumerate(delta.cells):
+        if not nb[i]:
+            continue
+        dirs = {_tree.direction(t, c.a, delta.cells[j].a) for j in nb[i]}
+        if len(dirs) != 1:
+            raise ValueError("CUB direction is not unique: %r"
+                             % (sorted(dirs),))
+        d_c = dirs.pop()
+        eps = cup_constant(c, d_c, n)
+        out[c] = CubData(d_c, c.x[d_c] - eps, eps)
+    return out
 
 
-def cub_data(c, t, n, delta=None):
-    """CUB direction, number and cup constant of c, or None when the
-    M-cup neighborhood is empty.  The direction toward every neighbor is
-    asserted unique."""
-    partners = m_cup_neighborhood(c, t, n, delta)
-    if not partners:
-        return None
-    dirs = {_tree.direction(t, c.a, c1.a) for c1 in partners}
-    assert len(dirs) == 1, "CUB direction is not unique: %r" % (dirs,)
-    d_c = dirs.pop()
-    eps = cup_constant(c, d_c, n)
-    return CubData(d_c, c.x[d_c] - eps, eps)
-
-
-def neighborhood_structure_test(c, cp, t, n, data_c=None, data_cp=None):
+def neighborhood_structure_test(c, cp, t, n, data_c, data_cp):
     """Structural adjacency test: distinct vertices, each lying in the
-    other's CUB direction, and CUB(c) + CUB(c') >= n.  Agrees with
+    other's CUB direction, and CUB(c) + CUB(c') >= n.  data_c and
+    data_cp are the cells' cub_table entries.  Agrees with
     m_cup_adjacent whenever both neighborhoods are nonempty."""
-    data_c = data_c or cub_data(c, t, n)
-    data_cp = data_cp or cub_data(cp, t, n)
     if data_c is None or data_cp is None:
         raise ValueError("both cells must have nonempty neighborhoods")
     return (c.a != cp.a
@@ -245,20 +238,35 @@ def hierarchy(delta):
     return Hierarchy(delta)
 
 
-def _neighborhood_size(h, i):
-    """|N_v| for any member v of class i."""
-    return len(h.ns[i])
-
-
-def _h_prime(h, root):
-    """Vertices and edges of H': the descendants of the root class plus
-    the auxiliary node p_1 (represented as the string "p1")."""
+def _rooted_hierarchy(delta, root=None):
+    """(h, root, desc, kids): the hierarchy of delta, a <=_N-maximal root
+    class (default: the first, deterministically), its descendants and
+    its Hasse children among them.  root is None when every
+    neighborhood is empty."""
+    h = hierarchy(delta)
+    if not h.ns:
+        return h, None, [], []
+    if root is None:
+        root = h.maximal[0]
+    elif root not in h.maximal:
+        raise ValueError("root must be a <=_N-maximal class")
     desc = h.descendants(root)
-    edges = {frozenset(("p1", root))}
-    for i in desc:
-        for j in h.children(i, within=desc):
-            edges.add(frozenset((i, j)))
-    return ["p1"] + desc, edges
+    return h, root, desc, h.children(root, within=desc)
+
+
+def _pruning_child(h, desc, kids):
+    """The pruning child for n = 5: the first root child j whose
+    descendants are half of desc and include one of any two root
+    children with a common descendant; None when there is none."""
+    for j in kids:
+        dj = set(h.descendants(j))
+        if 2 * len(dj) != len(desc):
+            continue
+        if all(u in dj or v in dj
+               or not set(h.descendants(u)) & set(h.descendants(v))
+               for u, v in combinations(kids, 2)):
+            return j
+    return None
 
 
 def _solve_Y(m, target):
@@ -273,18 +281,23 @@ def _solve_Y(m, target):
     return None
 
 
-def _grow_tree(children_of, pdeg, pdeg_root):
-    """Plane tree text: * - p_1 - (H subtrees + leaves), each vertex
-    padded with leaf edges up to its target degree."""
-
-    def emit(v, parent_edges=1):
-        subs = [emit(u) for u in children_of.get(v, [])]
-        pad = pdeg[v] - parent_edges - len(subs)
-        return "(" + "".join(subs) + "()" * pad + ")"
-
-    root_subs = [emit(u) for u in children_of["p1"]]
-    pad = pdeg_root - 1 - len(root_subs)
-    return "(" + "(" + "".join(root_subs) + "()" * pad + ")" + ")"
+def _grow_tree(children_of, pdeg):
+    """Plane tree text: * - p_1 - (H subtrees + leaves), each vertex v
+    padded with leaf edges up to its target degree pdeg[v]."""
+    out = ["("]
+    # a list [v] opens vertex v; a string is the text that closes one
+    todo = [")", ["p1"]]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        (v,) = item
+        kids = children_of.get(v, [])
+        out.append("(")
+        todo.append("()" * (pdeg[v] - 1 - len(kids)) + ")")
+        todo.extend([u] for u in reversed(kids))
+    return "".join(out)
 
 
 def reconstruct_tree(delta, n, root=None):
@@ -295,39 +308,17 @@ def reconstruct_tree(delta, n, root=None):
     """
     if n not in (4, 5):
         raise ValueError("n must be 4 or 5")
-    h = hierarchy(delta)
-    if not h.ns:  # every neighborhood empty: radial (free group) case
+    h, root, desc, root_children = _rooted_hierarchy(delta, root)
+    if root is None:  # every neighborhood empty: radial (free group) case
         deg = _solve_Y(n, delta.num_vertices)
         if deg is None:
             raise Undefined(
                 "no radial tree: |Delta| = %d is not a Y_%d value"
                 % (delta.num_vertices, n))
         return _tree.parse_tree("((" + "()" * (deg - 1) + "))")
-    root = h.maximal[0] if root is None else root
-    if root not in h.maximal:
-        raise ValueError("root must be a <=_N-maximal class")
-    desc = h.descendants(root)
-    root_children = h.children(root, within=desc)
-
     kept = list(desc)
     if n == 5:
-        full = set(desc)
-        candidate = None
-        for j in root_children:
-            dj = set(h.descendants(j))
-            if 2 * len(dj) != len(full):
-                continue
-            ok = True
-            for u in root_children:
-                for v in root_children:
-                    if u >= v:
-                        continue
-                    common = set(h.descendants(u)) & set(h.descendants(v))
-                    if common and u not in dj and v not in dj:
-                        ok = False
-            if ok:
-                candidate = j
-                break
+        candidate = _pruning_child(h, desc, root_children)
         if candidate is None:
             raise Undefined("no pruning child exists (n = 5)")
         pruned = set(h.descendants(candidate))
@@ -337,8 +328,7 @@ def reconstruct_tree(delta, n, root=None):
     if n == 5 and len(kept) == 2:
         if len(desc) != 4:
             raise Undefined("three-vertex H without a five-vertex H'")
-        others = [i for i in desc if i != root and i not in
-                  h.children(root, within=desc)]
+        others = [i for i in desc if i != root and i not in root_children]
         if len(others) != 1:
             raise Undefined("three-vertex H without a unique joint child")
         w = others[0]
@@ -347,7 +337,7 @@ def reconstruct_tree(delta, n, root=None):
             (x for x in range(3, 65)
              if _cells.radial_rank(3, x) - _cells.radial_rank(2, x)
              == len(h.classes[w])), None)
-        cdeg = _solve_Y(2, _neighborhood_size(h, w))
+        cdeg = _solve_Y(2, len(h.ns[w]))
         if a is None or yb is None or cdeg is None:
             raise Undefined("no degrees solve the exceptional equations")
         mid = "(" + "()" * (cdeg - 1) + ")" + "()" * (yb - 2)
@@ -358,7 +348,6 @@ def reconstruct_tree(delta, n, root=None):
     children_of = {"p1": [root]}
     parent = {root: "p1"}
     queue = [root]
-    edge_count = 1
     while queue:
         i = queue.pop()
         # children are taken in the full hierarchy H', then restricted to
@@ -369,7 +358,6 @@ def reconstruct_tree(delta, n, root=None):
                 raise Undefined("H is not a tree")
             parent[j] = i
             queue.append(j)
-            edge_count += 1
         children_of[i] = kids
     if len(parent) != len(kept):
         raise Undefined("H is not a tree")
@@ -378,7 +366,7 @@ def reconstruct_tree(delta, n, root=None):
     for i in kept:
         kids = children_of[i]
         if not kids:  # leaf of H
-            pdeg[i] = _solve_Y(n - 2, _neighborhood_size(h, i))
+            pdeg[i] = _solve_Y(n - 2, len(h.ns[i]))
         else:
             sizes = {len(h.classes[j]) for j in kids}
             if len(sizes) != 1:
@@ -389,21 +377,18 @@ def reconstruct_tree(delta, n, root=None):
             raise Undefined("pdeg undefined for a class of H")
         if kids and len(kids) > pdeg[i] - 1:
             raise Undefined("class has more children than its degree allows")
-    pdeg_root = _solve_Y(2, len(h.classes[root]))
-    if pdeg_root is None:
+    pdeg["p1"] = _solve_Y(2, len(h.classes[root]))
+    if pdeg["p1"] is None:
         raise Undefined("pdeg_1 undefined")
-    return _tree.parse_tree(_grow_tree(children_of, pdeg, pdeg_root))
+    return _tree.parse_tree(_grow_tree(children_of, pdeg))
 
 
 def detect_n(delta):
     """4, 5, or "unknown": 5 iff two children of a maximal class share a
     common child; unknown iff all neighborhoods are empty (free group)."""
-    h = hierarchy(delta)
-    if not h.ns:
+    h, root, desc, kids = _rooted_hierarchy(delta)
+    if root is None:
         return "unknown"
-    root = h.maximal[0]
-    desc = h.descendants(root)
-    kids = h.children(root, within=desc)
     for ii in range(len(kids)):
         down_i = set(h.children(kids[ii], within=desc))
         for jj in range(ii + 1, len(kids)):
@@ -467,25 +452,24 @@ def decide_isomorphic(spec1, spec2):
 
 
 def hierarchy_to_dot(delta, pruned=False, n=None, name="H"):
-    """DOT text for H' (or H when pruned=True, which requires n)."""
-    h = hierarchy(delta)
-    if not h.ns:
+    """DOT text for H' (or H when pruned=True, which requires n): the
+    auxiliary node p_1 joined to the root class, and the Hasse edges
+    among the root's descendants.  Pruning keeps the classes that
+    reconstruct_tree keeps (all of them when no pruning child exists)."""
+    h, root, desc, kids = _rooted_hierarchy(delta)
+    if root is None:
         return "graph %s {\n}" % name
-    root = h.maximal[0]
-    desc = h.descendants(root)
-    verts, edges = _h_prime(h, root)
+    edges = [("p1", root)] + [
+        (i, j) for i in desc for j in h.children(i, within=desc)]
     lines = ["graph %s {" % name, '  p1 [label="p_1"];']
-    keep = set(verts)
+    keep = {"p1"} | set(desc)
     if pruned and n == 5:
-        for j in h.children(root, within=desc):
-            dj = set(h.descendants(j))
-            if 2 * len(dj) == len(desc):
-                keep -= dj
-                break
-    for v in verts:
-        if v == "p1" or v not in keep:
-            continue
-        lines.append('  c%d [label="[%s]"];' % (v, h.classes[v][0]))
+        j = _pruning_child(h, desc, kids)
+        if j is not None:
+            keep -= set(h.descendants(j))
+    for v in desc:
+        if v in keep:
+            lines.append('  c%d [label="[%s]"];' % (v, h.classes[v][0]))
     for e in edges:
         a, b = sorted(e, key=str)
         if a in keep and b in keep:

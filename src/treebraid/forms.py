@@ -11,11 +11,9 @@ bitmask of row indices (bit i of cols[j] is the (i, j) entry).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import cells as _cells
-from . import tree as _tree
 from .cells import ReducedOneCell
 
 
@@ -23,31 +21,19 @@ from .cells import ReducedOneCell
 # direction counters
 
 
-@lru_cache(maxsize=1 << 20)
 def _profile(t, a, cell, bar):
     """Tuple of D_{a,i}(cell) (or D-bar) over all directions i at a.
 
     Each vertex counts in its direction from a; each edge counts in the
     direction of its endpoint farther from * (D) or closer to * (D-bar).
     """
+    dirs = t.directions(a)
     prof = [0] * t.degree(a)
     for v in cell.vertices:
-        prof[_tree.direction(t, a, v)] += 1
+        prof[dirs[v]] += 1
     for e in cell.edges:
-        endpoint = t.parent[e] if bar else e
-        prof[_tree.direction(t, a, endpoint)] += 1
+        prof[dirs[t.parent[e] if bar else e]] += 1
     return tuple(prof)
-
-
-def count_D(t, a, i, cell):
-    """Number of vertices or edges of the cell in direction i from a."""
-    return _profile(t, a, cell, False)[i]
-
-
-def count_Dbar(t, a, i, cell):
-    """Like count_D, but each edge counts in the direction of its
-    terminal (root-side) endpoint."""
-    return _profile(t, a, cell, True)[i]
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +293,7 @@ class ROrder:
     def __init__(self, t, n):
         self.tree = t
         self.n = n
-        cells = sorted(
-            _cells.enumerate_reduced_1cells(t, n),
-            key=lambda c: (c.a, -c.x[0], c.d, c.x))
+        cells = sorted(_cells.enumerate_reduced_1cells(t, n), key=self.key)
         if n == 5:
             pos = {c: i for i, c in enumerate(cells)}
             for c in list(cells):
@@ -327,6 +311,12 @@ class ROrder:
         self.rm = len(cells)
         self.sm = len(self.critical)
         self.tm = len(self.noncritical)
+
+    @staticmethod
+    def key(c):
+        """The lexicographic key (a, -x_0, d, x), before the Type I/II
+        swap."""
+        return (c.a, -c.x[0], c.d, c.x)
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +363,6 @@ def is_invertible(cols):
     return True
 
 
-def matrix_to_bitstrings(cols):
-    """Debug dump: one string of 0/1 per row."""
-    m = len(cols)
-    return [
-        "".join("1" if cols[j] >> i & 1 else "0" for j in range(m))
-        for i in range(m)]
-
-
 # ---------------------------------------------------------------------------
 # the matrices M_omega, M_c, Ms, Mt, M
 
@@ -394,17 +376,6 @@ def u_vector(form, t, n, order):
     for term in ann.terms:
         u |= 1 << order.ri[term.factors[0]]
     return u
-
-
-def matrix_M_omega(form, t, n, order):
-    """Identity with column ri(c) replaced by u_omega, c the necessary
-    cell of the (necessary) form."""
-    c = is_necessary(form, t, n)
-    if c is None:
-        raise ValueError("form is not necessary")
-    cols = identity_matrix(order.rm)
-    cols[order.ri[c]] = u_vector(form, t, n, order)
-    return cols
 
 
 def necessary_witnesses(c, t, n, order):
@@ -452,12 +423,6 @@ def _column_M_c(c, t, n, order):
     if not witnesses:
         return 1 << j
     return u_vector(witnesses[0], t, n, order)
-
-
-def matrix_M_c(c, t, n, order):
-    cols = identity_matrix(order.rm)
-    cols[order.ri[c]] = _column_M_c(c, t, n, order)
-    return cols
 
 
 def build_M(t, n, order=None):

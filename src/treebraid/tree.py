@@ -30,7 +30,7 @@ class TreeSyntaxError(ValueError):
 class PlaneTree:
     """Immutable plane tree rooted at the basepoint (vertex 0)."""
 
-    __slots__ = ("parent", "children", "_subtree_end", "_hash")
+    __slots__ = ("parent", "children", "_subtree_end", "_hash", "_dirs")
 
     def __init__(self, parent, children):
         self.parent = tuple(parent)
@@ -52,6 +52,7 @@ class PlaneTree:
             end[v] = e
         self._subtree_end = tuple(end)
         self._hash = hash((self.parent, self.children))
+        self._dirs = [None] * n  # rows of directions(), filled on demand
 
     def __len__(self):
         return len(self.parent)
@@ -87,6 +88,21 @@ class PlaneTree:
     def edges(self):
         """All edges, named by the endpoint farther from * (iota)."""
         return range(1, len(self.parent))
+
+    def directions(self, a):
+        """Tuple whose v-th entry is direction(self, a, v).
+
+        Each child's subtree is a block of consecutive ids, so the row
+        is filled in O(|T|) on first use and kept with the tree.
+        """
+        row = self._dirs[a]
+        if row is None:
+            row = [0] * len(self.parent)
+            for i, c in enumerate(self.children[a], 1):
+                end = self._subtree_end[c]
+                row[c:end] = [i] * (end - c)
+            row = self._dirs[a] = tuple(row)
+        return row
 
 
 def parse_tree(text):
@@ -135,16 +151,12 @@ def parse_tree(text):
 
 def to_text(t):
     """Inverse of parse_tree."""
-    out = []
-
-    def emit(v):
-        out.append("(")
-        for c in t.children[v]:
-            emit(c)
-        out.append(")")
-
-    emit(0)
-    return "".join(out)
+    # ids are preorder ranks: vertex v opens at step v, and every
+    # subtree ending just after v closes there
+    closes = [0] * (len(t) + 1)
+    for end in t._subtree_end:
+        closes[end] += 1
+    return "".join("(" + ")" * closes[v + 1] for v in range(len(t)))
 
 
 def direction(t, frm, to):
@@ -153,12 +165,7 @@ def direction(t, frm, to):
     A vertex lies in direction 0 from itself; at * the unique edge is
     labelled 1.
     """
-    if frm == to:
-        return 0
-    for i, c in enumerate(t.children[frm]):
-        if t.in_subtree(c, to):
-            return i + 1
-    return 0  # toward the parent, i.e. toward *
+    return t.directions(frm)[to]
 
 
 def subdivide_for(t, n):
@@ -175,66 +182,43 @@ def subdivide_for(t, n):
 def is_sufficiently_subdivided(t, n):
     """True iff every path between distinct degree-!=2 vertices has at
     least n-1 edges (Abrams' condition for n strands)."""
-    for v, k in _chains(t):
-        if k < n - 1:
-            return False
-    return True
+    return all(_chain_end(t, c)[1] >= n - 1
+               for v in range(len(t)) if t.degree(v) != 2
+               for c in t.children[v])
 
 
-def _chains(t):
-    """Yield (top_vertex, edge_count) for every maximal chain between
-    consecutive degree-!=2 vertices, walking downward from the top."""
-    for v in range(len(t)):
-        if t.degree(v) == 2:
-            continue
-        for c in t.children[v]:
-            k = 1
-            u = c
-            while t.degree(u) == 2:
-                u = t.children[u][0]
-                k += 1
-            yield v, k
+def _chain_end(t, c):
+    """(u, k): walking down from c through degree-2 vertices, u is the
+    first vertex of degree != 2 and k the number of edges from c's
+    parent to u."""
+    k = 1
+    while t.degree(c) == 2:
+        c = t.children[c][0]
+        k += 1
+    return c, k
 
 
 def _subdivide(t, need):
+    """Copy of t in which every chain below a degree-!=2 vertex has at
+    least `need` edges."""
     parent = []
     children = []
-
-    def add(par):
-        vid = len(parent)
-        parent.append(par)
-        children.append([])
-        if par is not None:
-            children[par].append(vid)
-        return vid
-
-    def walk(old_v, new_par):
-        v = add(new_par)
-        for c in t.children[old_v]:
-            # measure the old chain from old_v down to the next deg!=2 vertex
-            k = 1
-            u = c
-            while t.degree(u) == 2:
-                u = t.children[u][0]
-                k += 1
-            extra = max(0, need - k)
-            # rebuild the chain with `extra` fresh degree-2 vertices inserted
-            cur = v
-            for _ in range(extra + k - 1):
-                cur = add(cur)
-            walk(u, cur)
-
-    walk(0, None)
+    # (old vertex, fresh degree-2 vertices to put above its copy, new
+    # parent); children are pushed in reverse so ids come out in preorder
+    todo = [(0, 0, None)]
+    while todo:
+        old_v, pad, par = todo.pop()
+        for _ in range(pad + 1):
+            v = len(parent)
+            parent.append(par)
+            children.append([])
+            if par is not None:
+                children[par].append(v)
+            par = v
+        for c in reversed(t.children[old_v]):
+            u, k = _chain_end(t, c)
+            todo.append((u, max(k, need) - 1, par))
     return PlaneTree(parent, children)
-
-
-def vertex_order(t):
-    """Map vertex id -> rank in the clockwise DFS traversal from *.
-
-    With the preorder-id invariant this is the identity; kept as an
-    explicit object for callers that want it by name.
-    """
-    return {v: v for v in range(len(t))}
 
 
 def essential_vertices(t):
@@ -250,9 +234,7 @@ def _essential_adjacency(t):
     for v in ess:
         # walk down each child chain to the next essential vertex, if any
         for c in t.children[v]:
-            u = c
-            while t.degree(u) < 3 and t.children[u]:
-                u = t.children[u][0]
+            u, _ = _chain_end(t, c)
             if t.degree(u) >= 3:
                 adj[v].append(u)
                 adj[u].append(v)
@@ -295,9 +277,7 @@ def _suppressed_adjacency(t):
     adj = {i: [] for i in range(len(keep))}
     for v in keep:
         for c in t.children[v]:
-            u = c
-            while t.degree(u) == 2:
-                u = t.children[u][0]
+            u, _ = _chain_end(t, c)
             adj[index[v]].append(index[u])
             adj[index[u]].append(index[v])
     return adj
@@ -305,12 +285,18 @@ def _suppressed_adjacency(t):
 
 def _ahu_code(adj, root):
     """AHU canonical code of the rooted tree (children codes sorted)."""
-
-    def code(v, par):
-        subs = sorted(code(u, v) for u in adj[v] if u != par)
-        return "(" + "".join(subs) + ")"
-
-    return code(root, None)
+    parent = {root: None}
+    order = [root]
+    for v in order:  # breadth-first; order grows while it is walked
+        for u in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    code = {}
+    for v in reversed(order):
+        code[v] = "(" + "".join(sorted(
+            code[u] for u in adj[v] if u != parent[v])) + ")"
+    return code[root]
 
 
 def _centroids(adj):

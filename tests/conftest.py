@@ -47,6 +47,13 @@ def star_tree(center_deg, outer_degs):
     return "(" + "(" + center + "()" * (o1 - 2) + ")" + ")"
 
 
+def caterpillar(k):
+    """Path of k degree-3 vertices, nested k deep, each carrying a leaf
+    (the last one two).  Built as a string: a recursive builder would
+    itself exceed the default recursion limit at the depths used."""
+    return "(" + "(" * (k - 1) + "(()())" + "())" * (k - 1) + ")"
+
+
 def build_corpus():
     out = {}
 

@@ -54,22 +54,6 @@ def store():
     return Store()
 
 
-def _cub_table(dg, t, n):
-    """cell -> CubData for cells with nonempty neighborhoods, computed
-    from the Delta adjacency lists."""
-    nb = dg.neighborhoods()
-    out = {}
-    for i, c in enumerate(dg.cells):
-        if not nb[i]:
-            continue
-        dirs = {T.direction(t, c.a, dg.cells[j].a) for j in nb[i]}
-        assert len(dirs) == 1
-        d_c = dirs.pop()
-        eps = D.cup_constant(c, d_c, n)
-        out[c] = D.CubData(d_c, c.x[d_c] - eps, eps)
-    return out
-
-
 def _report(num, ok, detail):
     line = "CRITERION %d: %s (%s)" % (num, "PASS" if ok else "FAIL", detail)
     print(line)
@@ -101,7 +85,7 @@ def test_criterion_02_counting_identities(store):
             c1, _ = C.count_critical_cells(t, n)
             assert c1 == sum(C.radial_rank(n, t.degree(a)) for a in ess)
             dg = store.delta(s, n)
-            cub = _cub_table(dg, t, n)
+            cub = D.cub_table(dg, t, n)
             for a in ess:
                 for d in range(1, t.degree(a)):
                     child = t.children[a][d - 1]
@@ -258,7 +242,7 @@ def test_criterion_09_cross_characterization(store):
                 col = m[order.ri[c]]
                 terms[c] = [order.cells[i]
                             for i in range(order.rm) if col >> i & 1]
-            cub = _cub_table(dg, t, n)
+            cub = D.cub_table(dg, t, n)
             nf_cache = {}
 
             def nf(u, v):

@@ -4,7 +4,7 @@ import pytest
 
 from treebraid import cli, tree as T
 
-from conftest import T_MIN, path_tree, radial_tree
+from conftest import T_MIN, caterpillar, path_tree, radial_tree
 
 
 @pytest.fixture
@@ -114,6 +114,26 @@ class TestVerbs:
         code, _, err = run(capsys, "iso", str(a), str(a))
         assert code == 2 and "error" in err
 
+    def test_iso_calls_share_no_defaults(self, capsys, tmp_path):
+        # Y_4(6) = Y_5(5) = 155, but Y_4(5) differs: a leaked --n 4
+        # would turn the second answer into "not isomorphic"
+        a = tmp_path / "a.tree"
+        a.write_text(radial_tree(6))
+        b = tmp_path / "b.tree"
+        b.write_text(radial_tree(5))
+        code, out, _ = run(capsys, "iso", str(a), str(b), "--n", "4")
+        assert (code, out.strip()) == (1, "not isomorphic")
+        code, out, _ = run(capsys, "iso", str(a), str(b),
+                           "--na", "4", "--nb", "5")
+        assert (code, out.strip()) == (0, "isomorphic")
+
+    def test_subdivide_deep_tree(self, capsys, tmp_path):
+        p = tmp_path / "deep.tree"
+        p.write_text(caterpillar(1200))
+        code, out, _ = run(capsys, "subdivide", str(p), "--n", "4")
+        assert code == 0
+        assert T.is_sufficiently_subdivided(T.parse_tree(out), 6)
+
     def test_verify(self, capsys, tmp_path):
         p = tmp_path / "t.tree"
         p.write_text(path_tree([3, 3]))
@@ -147,6 +167,16 @@ class TestErrors:
         p = tmp_path / "bad.tree"
         p.write_text("((")
         assert run(capsys, "cells", str(p), "--n", "4")[0] == 2
+
+    def test_internal_error_exit_4(self, capsys, monkeypatch):
+        def boom(n, x):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli._cells, "radial_rank", boom)
+        code, out, err = run(capsys, "radial-rank", "--n", "5",
+                             "--degree", "5")
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: RuntimeError: boom")
 
     def test_bad_delta_exit_2(self, capsys, tmp_path):
         p = tmp_path / "bad.json"

@@ -1,4 +1,6 @@
 import json
+import re
+from itertools import product
 
 import pytest
 
@@ -63,8 +65,9 @@ class TestCubData:
     def test_range_and_direction(self, n, tmin4, tmin5):
         t, dg = tmin4 if n == 4 else tmin5
         from treebraid import forms as F
+        cub = D.cub_table(dg, t, n)
         for c in dg.cells:
-            data = D.cub_data(c, t, n, dg)
+            data = cub.get(c)
             if data is None:
                 continue
             assert 2 <= data.number <= n - 2
@@ -74,10 +77,10 @@ class TestCubData:
 
     def test_structure_test_matches(self, tmin5):
         t, dg = tmin5
-        data = {c: D.cub_data(c, t, 5, dg) for c in dg.cells}
+        data = D.cub_table(dg, t, 5)
         for i, c in enumerate(dg.cells):
             for cp in dg.cells[i + 1:]:
-                if data[c] is None or data[cp] is None:
+                if c not in data or cp not in data:
                     continue
                 assert (D.neighborhood_structure_test(
                     c, cp, t, 5, data[c], data[cp])
@@ -86,7 +89,7 @@ class TestCubData:
     def test_equal_neighborhoods_characterized(self, tmin5):
         t, dg = tmin5
         nb = dg.neighborhoods()
-        data = {c: D.cub_data(c, t, 5, dg) for c in dg.cells}
+        data = D.cub_table(dg, t, 5)
         for i, c in enumerate(dg.cells):
             for j in range(i + 1, dg.num_vertices):
                 cp = dg.cells[j]
@@ -100,13 +103,14 @@ class TestCubData:
     def test_maximal_neighborhoods_extremal(self, tmin5):
         t, dg = tmin5
         nb = dg.neighborhoods()
+        cub = D.cub_table(dg, t, 5)
         for i, c in enumerate(dg.cells):
             if not nb[i]:
                 continue
             if any(nb[i] < nb[j] for j in range(dg.num_vertices)):
                 continue
             assert T.is_extremal(t, c.a)
-            assert D.cub_data(c, t, 5, dg).number == 5 - 2
+            assert cub[c].number == 5 - 2
 
 
 class TestHierarchy:
@@ -129,6 +133,34 @@ class TestHierarchy:
         for i in range(len(h.ns)):
             for j in h.children(i):
                 assert h.ns[j] < h.ns[i]
+
+
+def _unrooted_code(adj):
+    """Canonical code of an unrooted tree given as {node: neighbours}."""
+    index = {v: i for i, v in enumerate(adj)}
+    relabelled = {index[v]: [index[u] for u in adj[v]] for v in adj}
+    return min(T._ahu_code(relabelled, c)
+               for c in T._centroids(relabelled))
+
+
+class TestPruning:
+    @pytest.mark.parametrize(
+        "text", [T_MIN] + [path_tree(list(d))
+                           for d in product((3, 4, 5), repeat=3)])
+    def test_dot_keeps_what_reconstruction_keeps(self, text):
+        # the pruned H of the DOT export, p_1 included, is the tree of
+        # essential vertices that reconstruct_tree grows from it
+        dg = D.build_delta(T.subdivide_for(T.parse_tree(text), 5), 5)
+        dot = D.hierarchy_to_dot(dg, pruned=True, n=5)
+        adj = {"p1": []}
+        adj.update((v, []) for v in re.findall(r"^  (c\d+) \[", dot, re.M))
+        for a, b in re.findall(r"^  (\w+) -- (\w+);", dot, re.M):
+            adj[a].append(b)
+            adj[b].append(a)
+        tr = D.reconstruct_tree(dg, 5)
+        ess = T._essential_adjacency(tr)
+        assert len(ess) == len(adj)
+        assert _unrooted_code(ess) == _unrooted_code(adj)
 
 
 class TestReconstruct:
@@ -173,6 +205,15 @@ class TestReconstruct:
         dg = D.build_delta(t, 5)
         tr = D.reconstruct_tree(dg, 5)
         assert T.trees_homeomorphic(tr, base)
+
+    def test_grow_tree_deep(self):
+        k = 1200
+        children_of = {"p1": [0]}
+        children_of.update((i, [i + 1]) for i in range(k - 1))
+        pdeg = dict.fromkeys(list(range(k)) + ["p1"], 3)
+        tr = T.parse_tree(D._grow_tree(children_of, pdeg))
+        assert len(T.essential_vertices(tr)) == k + 1
+        assert T.is_linear(tr)
 
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):

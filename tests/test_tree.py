@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from treebraid import tree as T
 
-from conftest import T_MIN, path_tree, radial_tree, star_tree
+from conftest import T_MIN, caterpillar, path_tree, radial_tree, star_tree
 
 
 # random plane trees: nested child-list structure under the basepoint
@@ -76,6 +76,15 @@ class TestDirections:
         for i, c in enumerate(t.children[a]):
             assert T.direction(t, a, c) == i + 1
 
+    @pytest.mark.parametrize("text", [T_MIN, path_tree([5] * 4)])
+    def test_rows_match_subtree_scan(self, text):
+        t = T.subdivide_for(T.parse_tree(text), 5)
+        for a in range(len(t)):
+            for v in range(len(t)):
+                want = next((i + 1 for i, c in enumerate(t.children[a])
+                             if t.in_subtree(c, v)), 0)
+                assert T.direction(t, a, v) == want
+
     def test_degree_bound(self):
         t = T.parse_tree(T_MIN)
         for v in range(len(t)):
@@ -146,3 +155,18 @@ class TestHomeomorphism:
     def test_self_homeomorphic(self, text):
         t = T.parse_tree(text)
         assert T.trees_homeomorphic(t, t)
+
+
+class TestDeep:
+    """A caterpillar deeper than the default recursion limit."""
+
+    def test_caterpillar(self):
+        s = caterpillar(1200)
+        t = T.parse_tree(s)
+        assert len(T.essential_vertices(t)) == 1200
+        assert T.to_text(t) == s
+        assert repr(t) == "PlaneTree(%r)" % s
+        assert T.trees_homeomorphic(t, t)
+        ts = T.subdivide_for(t, 4)
+        assert T.is_sufficiently_subdivided(ts, 6)
+        assert T.trees_homeomorphic(t, ts)
