@@ -220,12 +220,11 @@ class Hierarchy:
         """Class indices j with N_j a subset of N_i (including i)."""
         return [j for j in range(len(self.ns)) if self.ns[j] <= self.ns[i]]
 
-    def children(self, i, within=None):
-        """Hasse children of class i (strict inclusion, nothing between),
-        optionally restricted to the class indices in `within`."""
-        pool = set(range(len(self.ns))) if within is None else set(within)
+    def children(self, i):
+        """Hasse children of class i (strict inclusion, nothing between)."""
+        pool = range(len(self.ns))
         out = []
-        for j in sorted(pool):
+        for j in pool:
             if not (self.ns[j] < self.ns[i]):
                 continue
             if any(self.ns[j] < self.ns[k] < self.ns[i] for k in pool):
@@ -251,7 +250,7 @@ def _rooted_hierarchy(delta, root=None):
     elif root not in h.maximal:
         raise ValueError("root must be a <=_N-maximal class")
     desc = h.descendants(root)
-    return h, root, desc, h.children(root, within=desc)
+    return h, root, desc, h.children(root)
 
 
 def _pruning_child(h, desc, kids):
@@ -352,7 +351,7 @@ def reconstruct_tree(delta, n, root=None):
         i = queue.pop()
         # children are taken in the full hierarchy H', then restricted to
         # the surviving vertices (pruning removes vertices and their edges)
-        kids = [j for j in h.children(i, within=desc) if j in kept_set]
+        kids = [j for j in h.children(i) if j in kept_set]
         for j in kids:
             if j in parent:
                 raise Undefined("H is not a tree")
@@ -390,9 +389,9 @@ def detect_n(delta):
     if root is None:
         return "unknown"
     for ii in range(len(kids)):
-        down_i = set(h.children(kids[ii], within=desc))
+        down_i = set(h.children(kids[ii]))
         for jj in range(ii + 1, len(kids)):
-            if down_i & set(h.children(kids[jj], within=desc)):
+            if down_i & set(h.children(kids[jj])):
                 return 5
     return 4
 
@@ -401,49 +400,52 @@ def detect_n(delta):
 # the isomorphism decision
 
 
-def _as_delta(spec):
-    """Normalize a (tree, n) pair or DeltaGraph to (DeltaGraph, tree?)."""
+def _invariants(spec, which):
+    """(b1, n, tree or None) of one decide_isomorphic input; None means
+    the group is free.  On a tree, b1 = sum of Y_n(deg a) over essential
+    vertices a, and the group is free iff at most one vertex is
+    essential or n <= 3 (a critical 2-cell needs four strands).  A
+    non-free Delta is reconstructed, so a non-Delta raises Undefined."""
     if isinstance(spec, DeltaGraph):
-        return spec, None
+        if not spec.edges:
+            return spec.num_vertices, spec.n, None
+        n = spec.n if spec.n in (4, 5) else detect_n(spec)
+        if n not in (4, 5):
+            raise ValueError("cannot determine n for the %s input" % which)
+        return spec.num_vertices, n, reconstruct_tree(spec, n)
     t, n = spec
-    ts = _tree.subdivide_for(t, n)
-    if n in (4, 5):
-        return build_delta(ts, n), t
-    # outside {4,5} only the free case is decidable; Delta degenerates
-    # to isolated vertices when there are no critical 2-cells
-    c1, c2 = _cells.count_critical_cells(ts, n)
-    if c2 != 0:
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    ess = _tree.essential_vertices(t)
+    b1 = sum(_cells.radial_rank(n, t.degree(a)) for a in ess)
+    if len(ess) <= 1 or n <= 3:
+        return b1, n, None
+    if n not in (4, 5):
         raise ValueError("isomorphism decision requires n in {4, 5} "
                          "for non-free groups")
-    return DeltaGraph(c1, set(), n=n), t
+    return b1, n, t
 
 
 def decide_isomorphic(spec1, spec2):
     """Whether the two tree braid groups are isomorphic.
 
-    Each spec is a (PlaneTree, n) pair or a DeltaGraph.  Free groups
-    (edgeless Delta) compare by rank; a free and a non-free group are
-    never isomorphic; otherwise the defining trees are compared up to
-    homeomorphism, reconstructing from Delta where no tree was given.
-    Raises Undefined when an alleged Delta admits no tree.
+    Each spec is a (PlaneTree, n) pair or a DeltaGraph.  b1 is compared
+    first; free groups (edgeless Delta) then compare by rank alone, and a
+    free and a non-free group are never isomorphic.  Non-free groups with
+    equal b1 at different n raise ValueError, not a guess; at equal n the
+    defining trees are compared up to homeomorphism, reconstructing from
+    Delta where no tree was given.  Raises Undefined when an alleged
+    Delta admits no tree.
     """
-    d1, t1 = _as_delta(spec1)
-    d2, t2 = _as_delta(spec2)
-    free1, free2 = not d1.edges, not d2.edges
-    if free1 != free2:
+    b1, n1, t1 = _invariants(spec1, "first")
+    b2, n2, t2 = _invariants(spec2, "second")
+    if b1 != b2 or (t1 is None) != (t2 is None):
         return False
-    if free1:
-        return d1.num_vertices == d2.num_vertices
     if t1 is None:
-        n1 = d1.n if d1.n in (4, 5) else detect_n(d1)
-        if n1 not in (4, 5):
-            raise ValueError("cannot determine n for the first input")
-        t1 = reconstruct_tree(d1, n1)
-    if t2 is None:
-        n2 = d2.n if d2.n in (4, 5) else detect_n(d2)
-        if n2 not in (4, 5):
-            raise ValueError("cannot determine n for the second input")
-        t2 = reconstruct_tree(d2, n2)
+        return True
+    if n1 != n2:
+        raise ValueError("isomorphism across strand counts is undecided: "
+                         "b1 = %d at n = %d and at n = %d" % (b1, n1, n2))
     return _tree.trees_homeomorphic(t1, t2)
 
 
@@ -459,8 +461,7 @@ def hierarchy_to_dot(delta, pruned=False, n=None, name="H"):
     h, root, desc, kids = _rooted_hierarchy(delta)
     if root is None:
         return "graph %s {\n}" % name
-    edges = [("p1", root)] + [
-        (i, j) for i in desc for j in h.children(i, within=desc)]
+    edges = [("p1", root)] + [(i, j) for i in desc for j in h.children(i)]
     lines = ["graph %s {" % name, '  p1 [label="p_1"];']
     keep = {"p1"} | set(desc)
     if pruned and n == 5:

@@ -136,23 +136,18 @@ def differential(form, t, include_extraneous=False):
         for c in _differential_terms(t, a, x, include_extraneous)))
 
 
-def coboundary_oracle_check(form, t, n, complex_=None):
+def coboundary_oracle_check(form, t, complex_):
     """True iff d(form) agrees with the cochain coboundary of form on
-    every 2-cell of the oracle complex for (t, n).
-
-    The complex must be built on t itself (so that vertex ids agree);
-    pass one in to amortize construction.
+    every 2-cell of complex_, an oracle complex built on t itself (so
+    that vertex ids agree).
     """
-    from . import oracle as _oracle
-
-    if complex_ is None:
-        complex_ = _oracle.build_complex(t, n, max_dim=2)
     dform = differential(form, t, include_extraneous=True)
     one_cells = complex_.cells_by_dim[1]
     # every term of either side contains the edge of every dc factor, so
     # 2-cells missing one of those edges contribute 0 = 0
     required = frozenset(
         t.children[c.a][c.d - 1] for c in form.factors)
+    on_face = {}  # 1-cell index -> form value; 2-cells share faces
     for s, faces in zip(complex_.cells_by_dim[2], complex_.faces[2]):
         if not required <= s.edges:
             continue
@@ -161,7 +156,9 @@ def coboundary_oracle_check(form, t, n, complex_=None):
             lhs ^= eval_form(term, s, t)
         rhs = 0
         for f in faces:
-            rhs ^= eval_form(form, one_cells[f], t)
+            if f not in on_face:
+                on_face[f] = eval_form(form, one_cells[f], t)
+            rhs ^= on_face[f]
         if lhs != rhs:
             return False
     return True

@@ -237,7 +237,7 @@ def verify_d_equals_delta(t, n, forms_sample, rng=None):
 
     def check(form):
         nonlocal checked
-        ok = _forms.coboundary_oracle_check(form, ts, n, complex_=cx)
+        ok = _forms.coboundary_oracle_check(form, ts, cx)
         checked += 1
         if not ok:
             failures.append(form)

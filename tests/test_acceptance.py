@@ -137,7 +137,7 @@ def test_criterion_03_oracle_agreement():
 
 def test_criterion_04_round_trip_rigidity(store):
     t0 = time.time()
-    trips = 0
+    trips = decided = 0
     for s in CORPUS:
         base = T.parse_tree(s)
         for n in (4, 5):
@@ -148,15 +148,26 @@ def test_criterion_04_round_trip_rigidity(store):
                 tr = D.reconstruct_tree(dg, n, root=r)
                 assert T.trees_homeomorphic(tr, base), (s, n, r)
                 trips += 1
+            assert D.decide_isomorphic((base, n), dg), (s, n)
+            # b1 cannot tell these apart; the trees must
+            for other in CORPUS:
+                odg = store.delta(other, n)
+                if other != s and odg.num_vertices == dg.num_vertices:
+                    assert not D.decide_isomorphic((base, n), odg), \
+                        (s, other, n)
+                    decided += 1
     dt = time.time() - t0
-    _report(4, dt < 300, "%d reconstructions, %.1fs" % (trips, dt))
+    _report(4, dt < 300, "%d reconstructions, %d same-b1 decisions, %.1fs"
+            % (trips, decided, dt))
 
 
 def test_criterion_05_edge_count(store):
     for s in CORPUS:
         for n in (4, 5):
-            _, c2 = C.count_critical_cells(store.ts(s, n), n)
+            t = store.ts(s, n)
+            _, c2 = C.count_critical_cells(t, n)
             assert len(store.delta(s, n).edges) == c2, (s, n)
+            assert (c2 == 0) == (len(T.essential_vertices(t)) <= 1), (s, n)
     _report(5, True, "edge count = critical 2-cells on %d trees x {4,5}"
             % len(CORPUS))
 

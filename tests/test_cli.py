@@ -108,6 +108,19 @@ class TestVerbs:
                            "--na", "4", "--nb", "3")
         assert code == 0
 
+    def test_iso_across_n(self, capsys, tmp_path, tmin_file):
+        code, out, _ = run(capsys, "iso", tmin_file, tmin_file,
+                           "--na", "4", "--nb", "5")
+        assert (code, out.strip()) == (1, "not isomorphic")
+        a = tmp_path / "a.tree"
+        a.write_text(path_tree([5, 5]))
+        b = tmp_path / "b.tree"
+        b.write_text(path_tree([6, 6]))
+        # equal b1 (310) at different n is refused
+        code, out, err = run(capsys, "iso", str(a), str(b),
+                             "--na", "5", "--nb", "4")
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
     def test_iso_requires_n(self, capsys, tmp_path):
         a = tmp_path / "a.tree"
         a.write_text(radial_tree(4))

@@ -6,7 +6,7 @@ import pytest
 
 from treebraid import cells as C, delta as D, tree as T
 
-from conftest import T_MIN, path_tree, radial_tree, star_tree
+from conftest import CORPUS, T_MIN, path_tree, radial_tree, star_tree
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +258,50 @@ class TestDecide:
         assert D.decide_isomorphic(anon, (T.parse_tree(T_MIN), 5))
         assert not D.decide_isomorphic(
             anon, (T.parse_tree(path_tree([3, 3, 3])), 5))
+
+    def test_across_n(self):
+        t = T.parse_tree(T_MIN)
+        assert not D.decide_isomorphic((t, 4), (t, 5))  # b1 24 against 40
+        # b1 = 310 on both sides: refused, not guessed
+        with pytest.raises(ValueError, match="strand counts"):
+            D.decide_isomorphic((T.parse_tree(path_tree([5, 5])), 5),
+                                (T.parse_tree(path_tree([6, 6])), 4))
+
+    def test_tree_inputs_build_no_delta(self, monkeypatch):
+        tmin = T.parse_tree(T_MIN)
+        sub = T.subdivide_for(tmin, 9)
+        r4, r5 = T.parse_tree(radial_tree(4)), T.parse_tree(radial_tree(5))
+
+        def boom(*args):
+            raise AssertionError("tree inputs are decided from the trees")
+
+        monkeypatch.setattr(D, "build_delta", boom)
+        monkeypatch.setattr(T, "subdivide_for", boom)
+        monkeypatch.setattr(C, "count_critical_cells", boom)
+        assert D.decide_isomorphic((tmin, 4), (sub, 4))
+        assert not D.decide_isomorphic(
+            (tmin, 4), (T.parse_tree(path_tree([3, 3, 3])), 4))
+        assert not D.decide_isomorphic((tmin, 4), (tmin, 5))
+        assert D.decide_isomorphic((r4, 4), (r5, 3))
+        assert D.decide_isomorphic((r4, 6), (r4, 6))
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            D.decide_isomorphic((tmin, 1), (tmin, 4))
+        with pytest.raises(ValueError, match="requires n in"):
+            D.decide_isomorphic((tmin, 6), (tmin, 6))
+
+    def test_invariants_match_counts(self):
+        # outside n in {4, 5}: free iff no critical 2-cells, and b1 = c1
+        for s in CORPUS:
+            t = T.parse_tree(s)
+            if len(T.essential_vertices(t)) > 3:
+                continue
+            for n in (2, 3, 6):
+                c1, c2 = C.count_critical_cells(T.subdivide_for(t, n), n)
+                if c2:
+                    with pytest.raises(ValueError, match="requires n in"):
+                        D._invariants((t, n), "first")
+                else:
+                    assert D._invariants((t, n), "first") == (c1, n, None)
 
 
 class TestSerialization:
