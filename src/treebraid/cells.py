@@ -239,20 +239,46 @@ def lub_is_critical(c1, c2, t):
     return e_flag and f_flag
 
 
+def upper_bound_buckets(cells, t):
+    """Yield (i, bucket) for every index i into cells and every nonempty
+    bucket: the indices j of the cells over vertices b > cells[i].a that
+    share one direction alpha = direction(a, b) and one x[0].
+
+    Every pair of cells over distinct vertices turns up exactly once,
+    from the side of its smaller vertex; pairs over one vertex never
+    have an upper bound and are left out.  By the Upper Bound Lemma,
+    upper_bound_exists of a pair over a < b depends on the second cell
+    only through alpha and y0 = x[0], and so do lub_is_critical and
+    m_cup_adjacent when both cells are critical.  One member therefore
+    decides the whole bucket.  Buckets are built per vertex a, so no
+    more than one vertex's buckets are held at a time.
+    """
+    over = {}  # vertex -> y0 -> indices of the cells over it
+    for j, c in enumerate(cells):
+        over.setdefault(c.a, {}).setdefault(c.x[0], []).append(j)
+    verts = sorted(over)
+    for k, a in enumerate(verts):
+        dirs = t.directions(a)
+        buckets = {}
+        for b in verts[k + 1:]:
+            for y0, js in over[b].items():
+                buckets.setdefault((dirs[b], y0), []).extend(js)
+        for js in over[a].values():
+            for i in js:
+                for bucket in buckets.values():
+                    yield i, bucket
+
+
 def count_critical_cells(t, n):
     """(number of critical 1-cells, number of critical 2-cells); these
     are the Betti numbers b_1, b_2 of B_nT."""
     cells = [c for c in enumerate_reduced_1cells(t, n) if is_critical(c)]
-    count_1 = len(cells)
     count_2 = 0
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            c1, c2 = cells[i], cells[j]
-            if c1.a == c2.a:
-                continue
-            if upper_bound_exists(c1, c2, t) and lub_is_critical(c1, c2, t):
-                count_2 += 1
-    return count_1, count_2
+    for i, bucket in upper_bound_buckets(cells, t):
+        c1, c2 = cells[i], cells[bucket[0]]
+        if upper_bound_exists(c1, c2, t) and lub_is_critical(c1, c2, t):
+            count_2 += len(bucket)
+    return len(cells), count_2
 
 
 def radial_rank(n, x):

@@ -134,17 +134,12 @@ def m_cup_adjacent(c, cp, t, n):
 def build_delta(t, n):
     """Delta for (t, n): one vertex per critical 1-cell (in <_r order),
     edges the pairs whose M-classes cup nontrivially."""
-    order = _forms.ROrder(t, n)
-    crit = order.critical
-    index = {c: i for i, c in enumerate(crit)}
+    crit = _forms.ROrder(t, n).critical
     edges = set()
-    for i in range(len(crit)):
-        for j in range(i + 1, len(crit)):
-            if m_cup_adjacent(crit[i], crit[j], t, n):
-                edges.add(frozenset((i, j)))
-    dg = DeltaGraph(len(crit), edges, cells=crit, n=n)
-    dg._index = index
-    return dg
+    for i, bucket in _cells.upper_bound_buckets(crit, t):
+        if m_cup_adjacent(crit[i], crit[bucket[0]], t, n):
+            edges.update(frozenset((i, j)) for j in bucket)
+    return DeltaGraph(len(crit), edges, cells=crit, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +235,11 @@ def hierarchy(delta):
 def _rooted_hierarchy(delta, root=None):
     """(h, root, desc, kids): the hierarchy of delta, a <=_N-maximal root
     class (default: the first, deterministically), its descendants and
-    its Hasse children among them.  root is None when every
-    neighborhood is empty."""
+    its Hasse children among them.  root (and h) is None when every
+    neighborhood is empty, that is when delta has no edges."""
+    if not delta.edges:
+        return None, None, [], []
     h = hierarchy(delta)
-    if not h.ns:
-        return h, None, [], []
     if root is None:
         root = h.maximal[0]
     elif root not in h.maximal:
@@ -268,16 +263,20 @@ def _pruning_child(h, desc, kids):
     return None
 
 
+def _solve_increasing(f, target):
+    """The unique x >= 3 with f(x) == target, or None; f must be
+    strictly increasing on x >= 3, so the scan stops once f(x) reaches
+    target."""
+    x = 3
+    while (v := f(x)) < target:
+        x += 1
+    return x if v == target else None
+
+
 def _solve_Y(m, target):
     """The unique x > 2 with Y_m(x) == target, or None (Y_m is strictly
     increasing in x for x >= 3)."""
-    for x in range(3, 65):
-        v = _cells.radial_rank(m, x)
-        if v == target:
-            return x
-        if v > target:
-            return None
-    return None
+    return _solve_increasing(lambda x: _cells.radial_rank(m, x), target)
 
 
 def _grow_tree(children_of, pdeg):
@@ -332,10 +331,9 @@ def reconstruct_tree(delta, n, root=None):
             raise Undefined("three-vertex H without a unique joint child")
         w = others[0]
         a = _solve_Y(2, len(h.classes[root]))
-        yb = next(
-            (x for x in range(3, 65)
-             if _cells.radial_rank(3, x) - _cells.radial_rank(2, x)
-             == len(h.classes[w])), None)
+        yb = _solve_increasing(
+            lambda x: _cells.radial_rank(3, x) - _cells.radial_rank(2, x),
+            len(h.classes[w]))
         cdeg = _solve_Y(2, len(h.ns[w]))
         if a is None or yb is None or cdeg is None:
             raise Undefined("no degrees solve the exceptional equations")

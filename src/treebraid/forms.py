@@ -451,10 +451,9 @@ def build_complex_K(t, n):
     1-cells, edges the pairs of classes with an upper bound."""
     cells = _cells.enumerate_reduced_1cells(t, n)
     edges = set()
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            if _cells.upper_bound_exists(cells[i], cells[j], t):
-                edges.add(frozenset((cells[i], cells[j])))
+    for i, bucket in _cells.upper_bound_buckets(cells, t):
+        if _cells.upper_bound_exists(cells[i], cells[bucket[0]], t):
+            edges.update(frozenset((cells[i], cells[j])) for j in bucket)
     return cells, edges
 
 

@@ -175,6 +175,25 @@ class TestReconstruct:
         with pytest.raises(D.Undefined):
             D.reconstruct_tree(D.DeltaGraph(2, set()), 4)
 
+    @pytest.mark.parametrize("degree", [65, 100])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_large_radial(self, degree, n, monkeypatch):
+        # Y_5(100) is 3.5e8 vertices: build the edgeless graph empty and
+        # set its size, sparing a label list that reconstruction never
+        # reads; a hierarchy would hold a set per vertex, so none may be
+        # built
+        m = C.radial_rank(n, degree)
+        assert D._solve_Y(n, m) == degree
+        monkeypatch.setattr(D, "hierarchy", None)
+        dg = D.DeltaGraph(0, set(), n=n)
+        dg.num_vertices = m
+        tr = D.reconstruct_tree(dg, n)
+        assert T.is_radial(tr)
+        assert tr.degree(T.essential_vertices(tr)[0]) == degree
+        dg.num_vertices = m + 1
+        with pytest.raises(D.Undefined):
+            D.reconstruct_tree(dg, n)
+
     def test_tmin_round_trip(self, tmin4):
         t, dg = tmin4
         tr = D.reconstruct_tree(dg, 4)

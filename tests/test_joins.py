@@ -1,0 +1,110 @@
+"""The Upper-Bound-Lemma joins against the pairwise loops they replace.
+
+count_critical_cells, build_delta and build_complex_K decide each pair
+of cells over vertices a < b once per bucket of upper_bound_buckets.
+The reference functions below test every pair of cells, as the package
+did before the joins; both must give the same counts, the same Delta
+(cells in order and edges) and the same K.
+"""
+
+import pytest
+
+from treebraid import cells as C, delta as D, forms as F, tree as T
+
+from conftest import CORPUS, path_tree, star_tree
+
+TREES = CORPUS + [path_tree([5] * 4), star_tree(5, (5, 5, 5))]
+
+
+def pairwise_count(t, n):
+    cells = [c for c in C.enumerate_reduced_1cells(t, n) if C.is_critical(c)]
+    count_2 = 0
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            c1, c2 = cells[i], cells[j]
+            if c1.a == c2.a:
+                continue
+            if C.upper_bound_exists(c1, c2, t) and C.lub_is_critical(c1, c2, t):
+                count_2 += 1
+    return len(cells), count_2
+
+
+def pairwise_delta(t, n):
+    crit = F.ROrder(t, n).critical
+    edges = set()
+    for i in range(len(crit)):
+        for j in range(i + 1, len(crit)):
+            if D.m_cup_adjacent(crit[i], crit[j], t, n):
+                edges.add(frozenset((i, j)))
+    return crit, edges
+
+
+def pairwise_K(t, n):
+    cells = C.enumerate_reduced_1cells(t, n)
+    edges = set()
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            if C.upper_bound_exists(cells[i], cells[j], t):
+                edges.add(frozenset((cells[i], cells[j])))
+    return cells, edges
+
+
+def _subdivided(n):
+    return [T.subdivide_for(T.parse_tree(s), n) for s in TREES]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+class TestAgainstPairwise:
+    def test_count(self, n):
+        for t in _subdivided(n):
+            assert C.count_critical_cells(t, n) == pairwise_count(t, n)
+
+    def test_delta(self, n):
+        for t in _subdivided(n):
+            dg = D.build_delta(t, n)
+            crit, edges = pairwise_delta(t, n)
+            assert dg.cells == crit
+            assert dg.num_vertices == len(crit)
+            assert dg.edges == edges
+
+    def test_complex_K(self, n):
+        for t in _subdivided(n):
+            assert F.build_complex_K(t, n) == pairwise_K(t, n)
+
+
+class TestBuckets:
+    def test_each_cross_pair_once(self):
+        t = T.subdivide_for(T.parse_tree(star_tree(4, (3, 4, 5))), 5)
+        cells = C.enumerate_reduced_1cells(t, 5)
+        seen = [(i, j) for i, bucket in C.upper_bound_buckets(cells, t)
+                for j in bucket]
+        assert len(seen) == len(set(seen))
+        assert set(seen) == {
+            (i, j) for i, c in enumerate(cells) for j, d in enumerate(cells)
+            if c.a < d.a}
+
+    def test_bucket_shares_direction_and_y0(self):
+        t = T.subdivide_for(T.parse_tree(path_tree([5, 3, 4])), 4)
+        cells = C.enumerate_reduced_1cells(t, 4)
+        for i, bucket in C.upper_bound_buckets(cells, t):
+            a = cells[i].a
+            keys = {(T.direction(t, a, cells[j].a), cells[j].x[0])
+                    for j in bucket}
+            assert len(keys) == 1
+
+    def test_count_calls_bounded(self, monkeypatch):
+        # at most one call per (cell, direction, y0), against one per
+        # pair of cells (692 440 on this tree) for the pairwise loop
+        t = T.subdivide_for(T.parse_tree(path_tree([5] * 8)), 5)
+        calls = []
+        real = C.upper_bound_exists
+
+        def counted(c1, c2, tree):
+            calls.append(1)
+            return real(c1, c2, tree)
+
+        monkeypatch.setattr(C, "upper_bound_exists", counted)
+        c1, c2 = C.count_critical_cells(t, 5)
+        assert (c1, c2) == (1240, 7728)
+        max_degree = max(t.degree(v) for v in range(len(t)))
+        assert len(calls) <= c1 * max_degree * (5 + 1)
