@@ -46,10 +46,6 @@ class ExplicitCell(NamedTuple):
     def n(self):
         return len(self.vertices) + len(self.edges)
 
-    @property
-    def dim(self):
-        return len(self.edges)
-
 
 def is_valid_reduced(c, t):
     """Structural validity of a reduced 1-cell triple (non-extraneous)."""

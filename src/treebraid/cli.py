@@ -97,6 +97,8 @@ def cmd_reconstruct(args):
     except _delta.Undefined as exc:
         print("undefined: %s" % exc, file=sys.stderr)
         return 3
+    except ValueError as exc:
+        return _fail(str(exc))
     print(_tree.to_text(t))
     return 0
 

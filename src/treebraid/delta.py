@@ -27,39 +27,52 @@ class Undefined(Exception):
 
 
 class DeltaGraph:
-    """A 1-dimensional simplicial complex.
+    """A 1-dimensional simplicial complex, kept as its twin quotient.
 
-    vertices are indices 0..m-1; cells[i] optionally labels vertex i
-    with the critical 1-cell c of its class Mc*; edges is a set of
-    frozenset index pairs.  n is the strand count when known.
+    vertices are indices 0..m-1; cells, when given, labels vertex i with
+    the critical 1-cell c of its class Mc*.  n is the strand count when
+    known.  Twins (vertices with equal nonempty neighborhoods) are never
+    adjacent, and two twin classes are joined completely or not at all.
+    So classes[k], the sorted members of class k (classes ordered by
+    least member), and ns[k], the frozenset of class ids joined to k,
+    determine the graph; edges expands them into frozenset index pairs.
     """
 
     def __init__(self, num_vertices, edges, cells=None, n=None):
         self.num_vertices = num_vertices
-        self.edges = {frozenset(e) for e in edges}
-        for e in self.edges:
-            if len(e) != 2 or not all(0 <= v < num_vertices for v in e):
+        nb = {}
+        for e in edges:
+            e = frozenset(e)
+            if len(e) != 2 or not all(
+                    isinstance(v, int) and 0 <= v < num_vertices for v in e):
                 raise ValueError("bad edge %r" % (sorted(e),))
-        self.cells = list(cells) if cells is not None else [None] * num_vertices
+            i, j = e
+            nb.setdefault(i, set()).add(j)
+            nb.setdefault(j, set()).add(i)
+        by_nb = {}
+        for v in sorted(nb):
+            by_nb.setdefault(frozenset(nb[v]), []).append(v)
+        self.classes = list(by_nb.values())
+        cls = {v: k for k, members in enumerate(self.classes) for v in members}
+        self.ns = [frozenset(cls[v] for v in vs) for vs in by_nb]
+        self.cells = list(cells) if cells is not None else None
         self.n = n
 
-    def neighborhoods(self):
-        """List of frozensets: the vertex neighborhood of each vertex."""
-        nb = [set() for _ in range(self.num_vertices)]
-        for e in self.edges:
-            i, j = sorted(e)
-            nb[i].add(j)
-            nb[j].add(i)
-        return [frozenset(s) for s in nb]
+    @property
+    def edges(self):
+        """The set of frozenset index pairs, expanded from the quotient."""
+        return {frozenset((u, v)) for k, members in enumerate(self.classes)
+                for j in self.ns[k] if k < j
+                for u in members for v in self.classes[j]}
 
     def to_json(self):
         out = {"vertices": [], "edges": sorted(sorted(e) for e in self.edges)}
         if self.n is not None:
             out["n"] = self.n
-        for i in range(self.num_vertices):
+        for i, c in enumerate(self.cells or [None] * self.num_vertices):
             v = {"id": i}
-            if self.cells[i] is not None:
-                v["cell"] = self.cells[i].to_json()
+            if c is not None:
+                v["cell"] = c.to_json()
             out["vertices"].append(v)
         return out
 
@@ -73,15 +86,13 @@ class DeltaGraph:
         for v in verts:
             if "cell" in v:
                 cells[v["id"]] = ReducedOneCell.from_json(v["cell"])
-        return cls(len(ids), [frozenset(e) for e in obj["edges"]],
-                   cells=cells, n=obj.get("n"))
+        return cls(len(ids), obj["edges"], cells=cells, n=obj.get("n"))
 
     def to_dot(self, name="Delta"):
         lines = ["graph %s {" % name]
-        for i in range(self.num_vertices):
-            label = "" if self.cells[i] is None else \
-                ' [label="%d,%d,%s"]' % (
-                    self.cells[i].a, self.cells[i].d, list(self.cells[i].x))
+        for i, c in enumerate(self.cells or [None] * self.num_vertices):
+            label = "" if c is None else \
+                ' [label="%d,%d,%s"]' % (c.a, c.d, list(c.x))
             lines.append("  v%d%s;" % (i, label))
         for e in sorted(sorted(x) for x in self.edges):
             lines.append("  v%d -- v%d;" % (e[0], e[1]))
@@ -135,10 +146,9 @@ def build_delta(t, n):
     """Delta for (t, n): one vertex per critical 1-cell (in <_r order),
     edges the pairs whose M-classes cup nontrivially."""
     crit = _forms.ROrder(t, n).critical
-    edges = set()
-    for i, bucket in _cells.upper_bound_buckets(crit, t):
-        if m_cup_adjacent(crit[i], crit[bucket[0]], t, n):
-            edges.update(frozenset((i, j)) for j in bucket)
+    edges = ((i, j) for i, bucket in _cells.upper_bound_buckets(crit, t)
+             if m_cup_adjacent(crit[i], crit[bucket[0]], t, n)
+             for j in bucket)
     return DeltaGraph(len(crit), edges, cells=crit, n=n)
 
 
@@ -156,12 +166,13 @@ def cub_table(delta, t, n):
     """cell -> CubData for every cell of delta (built on t) with a
     nonempty neighborhood.  Raises ValueError when the neighbors of a
     cell do not all lie in one direction from it."""
-    nb = delta.neighborhoods()
+    cls = {v: k for k, members in enumerate(delta.classes) for v in members}
     out = {}
     for i, c in enumerate(delta.cells):
-        if not nb[i]:
+        if i not in cls:
             continue
-        dirs = {_tree.direction(t, c.a, delta.cells[j].a) for j in nb[i]}
+        dirs = {_tree.direction(t, c.a, delta.cells[j].a)
+                for k in delta.ns[cls[i]] for j in delta.classes[k]}
         if len(dirs) != 1:
             raise ValueError("CUB direction is not unique: %r"
                              % (sorted(dirs),))
@@ -189,23 +200,15 @@ def neighborhood_structure_test(c, cp, t, n, data_c, data_cp):
 
 
 class Hierarchy:
-    """Equivalence classes of Delta-vertices with nonempty, equal
-    neighborhoods, ordered by neighborhood inclusion.
-
-    classes[i] is a sorted list of vertex ids; ns[i] their common
-    neighborhood.  maximal lists the <=_N-maximal class indices.
+    """The twin classes of Delta (see DeltaGraph), ordered by
+    neighborhood inclusion.  classes and ns are Delta's, so ns[i] holds
+    class ids; a neighborhood is a union of whole classes, so N_i is a
+    subset of N_j exactly when ns[i] <= ns[j].  maximal lists the
+    <=_N-maximal class indices.
     """
 
     def __init__(self, delta):
-        self.delta = delta
-        neigh = delta.neighborhoods()
-        by_ns = {}
-        for v in range(delta.num_vertices):
-            if neigh[v]:
-                by_ns.setdefault(neigh[v], []).append(v)
-        items = sorted(by_ns.items(), key=lambda kv: kv[1])
-        self.ns = [ns for ns, _ in items]
-        self.classes = [sorted(members) for _, members in items]
+        self.classes, self.ns = delta.classes, delta.ns
         m = len(self.ns)
         self.maximal = [
             i for i in range(m)
@@ -237,7 +240,7 @@ def _rooted_hierarchy(delta, root=None):
     class (default: the first, deterministically), its descendants and
     its Hasse children among them.  root (and h) is None when every
     neighborhood is empty, that is when delta has no edges."""
-    if not delta.edges:
+    if not delta.classes:
         return None, None, [], []
     h = hierarchy(delta)
     if root is None:
@@ -334,7 +337,7 @@ def reconstruct_tree(delta, n, root=None):
         yb = _solve_increasing(
             lambda x: _cells.radial_rank(3, x) - _cells.radial_rank(2, x),
             len(h.classes[w]))
-        cdeg = _solve_Y(2, len(h.ns[w]))
+        cdeg = _solve_Y(2, sum(len(h.classes[k]) for k in h.ns[w]))
         if a is None or yb is None or cdeg is None:
             raise Undefined("no degrees solve the exceptional equations")
         mid = "(" + "()" * (cdeg - 1) + ")" + "()" * (yb - 2)
@@ -363,7 +366,7 @@ def reconstruct_tree(delta, n, root=None):
     for i in kept:
         kids = children_of[i]
         if not kids:  # leaf of H
-            pdeg[i] = _solve_Y(n - 2, len(h.ns[i]))
+            pdeg[i] = _solve_Y(n - 2, sum(len(h.classes[k]) for k in h.ns[i]))
         else:
             sizes = {len(h.classes[j]) for j in kids}
             if len(sizes) != 1:
@@ -405,7 +408,7 @@ def _invariants(spec, which):
     essential or n <= 3 (a critical 2-cell needs four strands).  A
     non-free Delta is reconstructed, so a non-Delta raises Undefined."""
     if isinstance(spec, DeltaGraph):
-        if not spec.edges:
+        if not spec.classes:
             return spec.num_vertices, spec.n, None
         n = spec.n if spec.n in (4, 5) else detect_n(spec)
         if n not in (4, 5):

@@ -75,12 +75,6 @@ class PlaneTree:
     def degree(self, v):
         return len(self.children[v]) + (0 if self.parent[v] is None else 1)
 
-    def neighbors(self, v):
-        """Neighbors of v in direction order (parent first if present)."""
-        if self.parent[v] is None:
-            return list(self.children[v])
-        return [self.parent[v]] + list(self.children[v])
-
     def in_subtree(self, v, u):
         """True iff u lies in the subtree rooted at v (u == v counts)."""
         return v <= u < self._subtree_end[v]

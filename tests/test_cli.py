@@ -196,6 +196,18 @@ class TestErrors:
         p.write_text("{not json")
         assert run(capsys, "detect-n", "--delta", str(p))[0] == 2
 
+    @pytest.mark.parametrize("file_n, argv", [(None, ["--n", "7"]),
+                                              (3, [])])
+    def test_reconstruct_bad_n_exit_2(self, capsys, tmp_path, file_n, argv):
+        obj = {"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1]]}
+        if file_n is not None:
+            obj["n"] = file_n
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "reconstruct", "--delta", str(p), *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: n must be 4 or 5\n"
+
 
 class TestDeterminism:
     def test_byte_identical(self, capsys, tmin_file):

@@ -1,8 +1,10 @@
 import json
 import re
-from itertools import product
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from treebraid import cells as C, delta as D, tree as T
 
@@ -88,29 +90,65 @@ class TestCubData:
 
     def test_equal_neighborhoods_characterized(self, tmin5):
         t, dg = tmin5
-        nb = dg.neighborhoods()
+        cls = {v: k for k, members in enumerate(dg.classes) for v in members}
         data = D.cub_table(dg, t, 5)
         for i, c in enumerate(dg.cells):
             for j in range(i + 1, dg.num_vertices):
                 cp = dg.cells[j]
-                if not nb[i] or not nb[j]:
+                if i not in cls or j not in cls:
                     continue
                 same = (c.a == cp.a
                         and data[c].direction == data[cp].direction
                         and data[c].number == data[cp].number)
-                assert (nb[i] == nb[j]) == same
+                assert (cls[i] == cls[j]) == same
 
     def test_maximal_neighborhoods_extremal(self, tmin5):
         t, dg = tmin5
-        nb = dg.neighborhoods()
         cub = D.cub_table(dg, t, 5)
-        for i, c in enumerate(dg.cells):
-            if not nb[i]:
+        for k, members in enumerate(dg.classes):
+            if any(dg.ns[k] < other for other in dg.ns):
                 continue
-            if any(nb[i] < nb[j] for j in range(dg.num_vertices)):
-                continue
-            assert T.is_extremal(t, c.a)
-            assert cub[c].number == 5 - 2
+            for i in members:
+                c = dg.cells[i]
+                assert T.is_extremal(t, c.a)
+                assert cub[c].number == 5 - 2
+
+
+@st.composite
+def _graphs(draw):
+    m = draw(st.integers(0, 12))
+    pairs = [frozenset(p) for p in combinations(range(m), 2)]
+    return m, draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+
+
+class TestQuotient:
+    @given(_graphs())
+    def test_blow_up_is_the_graph(self, graph):
+        m, edges = graph
+        dg = D.DeltaGraph(m, edges)
+        assert dg.edges == edges
+        members = [v for cl in dg.classes for v in cl]
+        assert sorted(members) == sorted({v for e in edges for v in e})
+        assert len(members) == len(set(members))
+        for cl in dg.classes:
+            assert not any(frozenset(p) in edges
+                           for p in combinations(cl, 2))
+
+    @pytest.mark.parametrize("text", [T_MIN, path_tree([3, 4, 3])])
+    def test_stages_never_expand(self, text, monkeypatch):
+        t = T.subdivide_for(T.parse_tree(text), 5)
+        dg = D.build_delta(t, 5)
+
+        def boom(self):
+            raise AssertionError("Delta expanded after build_delta")
+
+        monkeypatch.setattr(D.DeltaGraph, "edges", property(boom))
+        assert T.trees_homeomorphic(D.reconstruct_tree(dg, 5),
+                                    T.parse_tree(text))
+        assert D.detect_n(dg) == 5
+        assert D.hierarchy_to_dot(dg, pruned=True, n=5).startswith("graph H")
+        assert D.decide_isomorphic(dg, dg)
+        assert D.cub_table(dg, t, 5)
 
 
 class TestHierarchy:
@@ -178,21 +216,30 @@ class TestReconstruct:
     @pytest.mark.parametrize("degree", [65, 100])
     @pytest.mark.parametrize("n", [4, 5])
     def test_large_radial(self, degree, n, monkeypatch):
-        # Y_5(100) is 3.5e8 vertices: build the edgeless graph empty and
-        # set its size, sparing a label list that reconstruction never
-        # reads; a hierarchy would hold a set per vertex, so none may be
-        # built
+        # an edgeless Delta is decided from its size: no hierarchy
         m = C.radial_rank(n, degree)
         assert D._solve_Y(n, m) == degree
         monkeypatch.setattr(D, "hierarchy", None)
-        dg = D.DeltaGraph(0, set(), n=n)
-        dg.num_vertices = m
-        tr = D.reconstruct_tree(dg, n)
+        tr = D.reconstruct_tree(D.DeltaGraph(m, set(), n=n), n)
         assert T.is_radial(tr)
         assert tr.degree(T.essential_vertices(tr)[0]) == degree
-        dg.num_vertices = m + 1
         with pytest.raises(D.Undefined):
-            D.reconstruct_tree(dg, n)
+            D.reconstruct_tree(D.DeltaGraph(m + 1, set(), n=n), n)
+
+    def test_unlabelled_size_free(self):
+        # 12 577 026 vertices; a label or a set per vertex would take
+        # hundreds of megabytes
+        m = C.radial_rank(4, 100)
+        tracemalloc.start()
+        try:
+            dg = D.DeltaGraph(m, set(), n=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        tr = D.reconstruct_tree(dg, 4)
+        assert T.is_radial(tr)
+        assert tr.degree(T.essential_vertices(tr)[0]) == 100
 
     def test_tmin_round_trip(self, tmin4):
         t, dg = tmin4
@@ -342,8 +389,9 @@ class TestSerialization:
             D.DeltaGraph.from_json({"vertices": [{"id": 1}], "edges": []})
 
     def test_bad_edge_rejected(self):
-        with pytest.raises(ValueError):
-            D.DeltaGraph(2, [(0, 5)])
+        for edge in [(0, 5), (0, 0), (0, 1, 2), (0, 0.5), (0.0, 1.0)]:
+            with pytest.raises(ValueError, match="bad edge"):
+                D.DeltaGraph(2, [edge])
 
     def test_dot_outputs(self, tmin4):
         t, dg = tmin4

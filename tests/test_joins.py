@@ -4,7 +4,7 @@ count_critical_cells, build_delta and build_complex_K decide each pair
 of cells over vertices a < b once per bucket of upper_bound_buckets.
 The reference functions below test every pair of cells, as the package
 did before the joins; both must give the same counts, the same Delta
-(cells in order and edges) and the same K.
+(cells in order, edges and twin classes) and the same K.
 """
 
 import pytest
@@ -39,6 +39,20 @@ def pairwise_delta(t, n):
     return crit, edges
 
 
+def twin_classes(edges):
+    """The groups of vertices with equal nonempty neighborhoods, sorted,
+    ordered by least member."""
+    nb = {}
+    for e in edges:
+        i, j = e
+        nb.setdefault(i, set()).add(j)
+        nb.setdefault(j, set()).add(i)
+    groups = {}
+    for v in sorted(nb):
+        groups.setdefault(frozenset(nb[v]), []).append(v)
+    return sorted(groups.values())
+
+
 def pairwise_K(t, n):
     cells = C.enumerate_reduced_1cells(t, n)
     edges = set()
@@ -66,6 +80,7 @@ class TestAgainstPairwise:
             assert dg.cells == crit
             assert dg.num_vertices == len(crit)
             assert dg.edges == edges
+            assert dg.classes == twin_classes(edges)
 
     def test_complex_K(self, n):
         for t in _subdivided(n):
