@@ -152,34 +152,22 @@ def cmd_presentation(args):
                         (tuple(e) for e in edges)),
         "relations": [],
     }
-    # coboundary support chains of the necessary 0- and 1-forms
+    # coboundary support chains of the necessary forms f(a,x) and
+    # f(a,x)dc_1, c_1 critical: one candidate per distinct (a, x) and c_1
     all_cells = _cells.enumerate_reduced_1cells(t, n)
-    seen = set()
-    for c in all_cells:
-        if _cells.is_critical(c) or (c.a, c.x) in seen:
-            continue
-        seen.add((c.a, c.x))
-        form = _forms.BasicForm((c.a, c.x), ())
+    zero_forms = _forms.basic_0forms(all_cells)
+    criticals = [c for c in all_cells if _cells.is_critical(c)]
+    forms = zero_forms + [
+        _forms.BasicForm(f.base, (c1,))
+        for f in zero_forms for c1 in criticals if f.base[0] != c1.a]
+    for form in forms:
         if _forms.is_necessary(form, t, n) is None:
             continue
-        terms = _forms.differential_0form(t, c.a, c.x).terms
         out["relations"].append({
             "form": str(form),
-            "support": sorted(str(u) for u in terms),
+            "support": sorted(str(u) for u in
+                              _forms.differential(form, t).terms),
         })
-    criticals = [c for c in all_cells if _cells.is_critical(c)]
-    for c in all_cells:
-        for c1 in criticals:
-            if c.a == c1.a:
-                continue
-            form = _forms.BasicForm((c.a, c.x), (c1,))
-            if _forms.is_necessary(form, t, n) is None:
-                continue
-            support = _forms.differential(form, t).terms
-            out["relations"].append({
-                "form": str(form),
-                "support": sorted(str(u) for u in support),
-            })
     out["relations"].sort(key=lambda r: r["form"])
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0

@@ -203,32 +203,30 @@ class Hierarchy:
     """The twin classes of Delta (see DeltaGraph), ordered by
     neighborhood inclusion.  classes and ns are Delta's, so ns[i] holds
     class ids; a neighborhood is a union of whole classes, so N_i is a
-    subset of N_j exactly when ns[i] <= ns[j].  maximal lists the
-    <=_N-maximal class indices.
+    subset of N_j exactly when ns[i] <= ns[j].  below[i] is the
+    frozenset of classes j with N_j a subset of N_i (i included),
+    kids[i] the ascending Hasse children of i (strict inclusion, nothing
+    between) and maximal the ascending <=_N-maximal classes, those that
+    are nobody's child.
     """
 
     def __init__(self, delta):
         self.classes, self.ns = delta.classes, delta.ns
-        m = len(self.ns)
-        self.maximal = [
-            i for i in range(m)
-            if not any(j != i and self.ns[i] < self.ns[j] for j in range(m))]
-
-    def descendants(self, i):
-        """Class indices j with N_j a subset of N_i (including i)."""
-        return [j for j in range(len(self.ns)) if self.ns[j] <= self.ns[i]]
-
-    def children(self, i):
-        """Hasse children of class i (strict inclusion, nothing between)."""
-        pool = range(len(self.ns))
-        out = []
-        for j in pool:
-            if not (self.ns[j] < self.ns[i]):
-                continue
-            if any(self.ns[j] < self.ns[k] < self.ns[i] for k in pool):
-                continue
-            out.append(j)
-        return out
+        ns, m = self.ns, len(self.ns)
+        self.below = [frozenset(j for j in range(m) if ns[j] <= ns[i])
+                      for i in range(m)]
+        self.kids = []
+        for i in range(m):
+            # a strict descendant is a child unless it lies below a
+            # larger one; every class between them is larger, so seen first
+            kids, covered = [], set()
+            for j in sorted(self.below[i] - {i}, key=lambda j: -len(ns[j])):
+                if j not in covered:
+                    kids.append(j)
+                    covered |= self.below[j]
+            self.kids.append(sorted(kids))
+        child = {j for kids in self.kids for j in kids}
+        self.maximal = [i for i in range(m) if i not in child]
 
 
 def hierarchy(delta):
@@ -236,31 +234,29 @@ def hierarchy(delta):
 
 
 def _rooted_hierarchy(delta, root=None):
-    """(h, root, desc, kids): the hierarchy of delta, a <=_N-maximal root
-    class (default: the first, deterministically), its descendants and
-    its Hasse children among them.  root (and h) is None when every
+    """(h, root): the hierarchy of delta and a <=_N-maximal root class
+    (default: the first, deterministically).  Both are None when every
     neighborhood is empty, that is when delta has no edges."""
     if not delta.classes:
-        return None, None, [], []
+        return None, None
     h = hierarchy(delta)
     if root is None:
         root = h.maximal[0]
     elif root not in h.maximal:
         raise ValueError("root must be a <=_N-maximal class")
-    desc = h.descendants(root)
-    return h, root, desc, h.children(root)
+    return h, root
 
 
-def _pruning_child(h, desc, kids):
-    """The pruning child for n = 5: the first root child j whose
-    descendants are half of desc and include one of any two root
+def _pruning_child(h, root):
+    """The pruning child for n = 5: the first child j of root whose
+    descendants are half of root's and include one of any two root
     children with a common descendant; None when there is none."""
+    kids = h.kids[root]
     for j in kids:
-        dj = set(h.descendants(j))
-        if 2 * len(dj) != len(desc):
+        dj = h.below[j]
+        if 2 * len(dj) != len(h.below[root]):
             continue
-        if all(u in dj or v in dj
-               or not set(h.descendants(u)) & set(h.descendants(v))
+        if all(u in dj or v in dj or h.below[u].isdisjoint(h.below[v])
                for u, v in combinations(kids, 2)):
             return j
     return None
@@ -309,7 +305,7 @@ def reconstruct_tree(delta, n, root=None):
     """
     if n not in (4, 5):
         raise ValueError("n must be 4 or 5")
-    h, root, desc, root_children = _rooted_hierarchy(delta, root)
+    h, root = _rooted_hierarchy(delta, root)
     if root is None:  # every neighborhood empty: radial (free group) case
         deg = _solve_Y(n, delta.num_vertices)
         if deg is None:
@@ -317,19 +313,18 @@ def reconstruct_tree(delta, n, root=None):
                 "no radial tree: |Delta| = %d is not a Y_%d value"
                 % (delta.num_vertices, n))
         return _tree.parse_tree("((" + "()" * (deg - 1) + "))")
-    kept = list(desc)
+    desc = kept = sorted(h.below[root])
     if n == 5:
-        candidate = _pruning_child(h, desc, root_children)
+        candidate = _pruning_child(h, root)
         if candidate is None:
             raise Undefined("no pruning child exists (n = 5)")
-        pruned = set(h.descendants(candidate))
-        kept = [i for i in desc if i not in pruned]
+        kept = [i for i in desc if i not in h.below[candidate]]
 
     # the exceptional three-vertex case (n = 5): H = {p1, [v0], [u]}
     if n == 5 and len(kept) == 2:
         if len(desc) != 4:
             raise Undefined("three-vertex H without a five-vertex H'")
-        others = [i for i in desc if i != root and i not in root_children]
+        others = [i for i in desc if i != root and i not in h.kids[root]]
         if len(others) != 1:
             raise Undefined("three-vertex H without a unique joint child")
         w = others[0]
@@ -343,24 +338,16 @@ def reconstruct_tree(delta, n, root=None):
         mid = "(" + "()" * (cdeg - 1) + ")" + "()" * (yb - 2)
         return _tree.parse_tree("((" + "(" + mid + ")" + "()" * (a - 2) + "))")
 
-    # H must be a tree; root it at p1
+    # H must be a tree rooted at p1: children are taken in the full
+    # hierarchy H', then restricted to the surviving vertices (pruning
+    # removes vertices and their edges); inclusion is acyclic, so H is a
+    # tree iff they name every kept class but the root exactly once
     kept_set = set(kept)
-    children_of = {"p1": [root]}
-    parent = {root: "p1"}
-    queue = [root]
-    while queue:
-        i = queue.pop()
-        # children are taken in the full hierarchy H', then restricted to
-        # the surviving vertices (pruning removes vertices and their edges)
-        kids = [j for j in h.children(i) if j in kept_set]
-        for j in kids:
-            if j in parent:
-                raise Undefined("H is not a tree")
-            parent[j] = i
-            queue.append(j)
-        children_of[i] = kids
-    if len(parent) != len(kept):
+    children_of = {i: [j for j in h.kids[i] if j in kept_set] for i in kept}
+    named = sorted(j for kids in children_of.values() for j in kids)
+    if named != [i for i in kept if i != root]:
         raise Undefined("H is not a tree")
+    children_of["p1"] = [root]
 
     pdeg = {}
     for i in kept:
@@ -386,15 +373,11 @@ def reconstruct_tree(delta, n, root=None):
 def detect_n(delta):
     """4, 5, or "unknown": 5 iff two children of a maximal class share a
     common child; unknown iff all neighborhoods are empty (free group)."""
-    h, root, desc, kids = _rooted_hierarchy(delta)
+    h, root = _rooted_hierarchy(delta)
     if root is None:
         return "unknown"
-    for ii in range(len(kids)):
-        down_i = set(h.children(kids[ii]))
-        for jj in range(ii + 1, len(kids)):
-            if down_i & set(h.children(kids[jj])):
-                return 5
-    return 4
+    return 5 if any(not set(h.kids[u]).isdisjoint(h.kids[v])
+                    for u, v in combinations(h.kids[root], 2)) else 4
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +442,17 @@ def hierarchy_to_dot(delta, pruned=False, n=None, name="H"):
     auxiliary node p_1 joined to the root class, and the Hasse edges
     among the root's descendants.  Pruning keeps the classes that
     reconstruct_tree keeps (all of them when no pruning child exists)."""
-    h, root, desc, kids = _rooted_hierarchy(delta)
+    h, root = _rooted_hierarchy(delta)
     if root is None:
         return "graph %s {\n}" % name
-    edges = [("p1", root)] + [(i, j) for i in desc for j in h.children(i)]
+    desc = sorted(h.below[root])
+    edges = [("p1", root)] + [(i, j) for i in desc for j in h.kids[i]]
     lines = ["graph %s {" % name, '  p1 [label="p_1"];']
-    keep = {"p1"} | set(desc)
+    keep = {"p1"} | h.below[root]
     if pruned and n == 5:
-        j = _pruning_child(h, desc, kids)
+        j = _pruning_child(h, root)
         if j is not None:
-            keep -= set(h.descendants(j))
+            keep -= h.below[j]
     for v in desc:
         if v in keep:
             lines.append('  c%d [label="[%s]"];' % (v, h.classes[v][0]))

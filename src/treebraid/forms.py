@@ -119,6 +119,13 @@ def _differential_terms(t, a, x, include_extraneous):
     return [c for c in out if _cells.is_valid_reduced(c, t)]
 
 
+def basic_0forms(cells):
+    """The basic 0-forms f(a,x), one per distinct (a, x) of the cells,
+    in order of first appearance."""
+    return [BasicForm(base, ())
+            for base in dict.fromkeys((c.a, c.x) for c in cells)]
+
+
 def differential_0form(t, a, x, include_extraneous=False):
     """df(a,x) as a FormSum of pure dc terms."""
     return FormSum(frozenset(
@@ -492,28 +499,17 @@ def cup_normal_form(c1, c2, t, n, order=None):
         if target is None:
             return frozenset(work)
         p, q = sorted(target, key=lambda c: c.a)  # vertex-order
-        own_flag, other_flag = _cells.edge_disrespectful_in_lub(p, q, t)
-        replacements = set()
-        if not own_flag and other_flag:
-            # p is the necessary cell of the necessary 1-form f(p)dq;
-            # its coboundary support chain rewrites {p,q}
-            chain = annihilate(
-                [q], differential_0form(t, p.a, p.x), t)
-            for term in chain.terms:
-                (cell,) = term.factors
-                if cell != p:
-                    replacements.add(frozenset((cell, q)))
-        else:
-            # the respectful edge belongs to q, which is then
-            # noncritical; rewrite dq via its necessary 0-form
-            bad = q if not other_flag else p
-            assert not _cells.is_critical(bad)
-            other = p if bad is q else q
-            for cell in _differential_terms(t, bad.a, bad.x, False):
-                if cell == bad or cell == other:
-                    continue
-                if _cells.upper_bound_exists(cell, other, t):
-                    replacements.add(frozenset((cell, other)))
+        # the pivot owns the respectful edge: p when q's edge is
+        # disrespectful (p is then the necessary cell of f(p)dq), else
+        # the noncritical q (rewritten via its necessary 0-form); the
+        # pair is replaced by the support chain of the pivot's form
+        _, q_disrespectful = _cells.edge_disrespectful_in_lub(p, q, t)
+        pivot, other = (p, q) if q_disrespectful else (q, p)
+        replacements = {
+            frozenset((cell, other))
+            for cell in _differential_terms(t, pivot.a, pivot.x, False)
+            if cell != pivot and cell != other
+            and _cells.upper_bound_exists(cell, other, t)}
         work.symmetric_difference_update({target})
         work.symmetric_difference_update(replacements)
     raise RuntimeError("cup product rewriting did not terminate")

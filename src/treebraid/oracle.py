@@ -242,12 +242,8 @@ def verify_d_equals_delta(t, n, forms_sample, rng=None):
         if not ok:
             failures.append(form)
 
-    seen = set()
-    for c in all_cells:  # all basic 0-forms f(a, x)
-        if (c.a, c.x) in seen:
-            continue
-        seen.add((c.a, c.x))
-        check(_forms.BasicForm((c.a, c.x), ()))
+    for form in _forms.basic_0forms(all_cells):
+        check(form)
     pairs = [
         (c, c1) for c in all_cells for c1 in all_cells if c.a != c1.a]
     rng.shuffle(pairs)

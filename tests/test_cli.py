@@ -166,6 +166,8 @@ class TestVerbs:
         assert rep["vertices"] and rep["edges"] and rep["relations"]
         for rel in rep["relations"]:
             assert rel["support"]
+        forms = [rel["form"] for rel in rep["relations"]]
+        assert len(forms) == len(set(forms))
 
 
 class TestErrors:

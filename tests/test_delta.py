@@ -134,6 +134,22 @@ class TestQuotient:
             assert not any(frozenset(p) in edges
                            for p in combinations(cl, 2))
 
+    @given(_graphs())
+    def test_hierarchy_by_definition(self, graph):
+        dg = D.DeltaGraph(*graph)
+        h, ns = D.hierarchy(dg), dg.ns
+        pool = range(len(ns))
+
+        def covers(i):  # the pairwise Hasse scan
+            return [j for j in pool if ns[j] < ns[i] and not any(
+                ns[j] < ns[k] < ns[i] for k in pool)]
+
+        for i in pool:
+            assert h.below[i] == {j for j in pool if ns[j] <= ns[i]}
+            assert h.kids[i] == covers(i)
+        assert h.maximal == [i for i in pool
+                             if not any(ns[i] < ns[j] for j in pool)]
+
     @pytest.mark.parametrize("text", [T_MIN, path_tree([3, 4, 3])])
     def test_stages_never_expand(self, text, monkeypatch):
         t = T.subdivide_for(T.parse_tree(text), 5)
@@ -163,14 +179,41 @@ class TestHierarchy:
         t, dg = tmin5
         h = D.hierarchy(dg)
         for i in range(len(h.ns)):
-            assert i in h.descendants(i)
+            assert i in h.below[i]
 
     def test_children_are_strict(self, tmin5):
         t, dg = tmin5
         h = D.hierarchy(dg)
         for i in range(len(h.ns)):
-            for j in h.children(i):
+            for j in h.kids[i]:
                 assert h.ns[j] < h.ns[i]
+
+    @pytest.mark.parametrize("text, dot, pruned, tree", [
+        (T_MIN,
+         'graph H {\n  p1 [label="p_1"];\n  c0 [label="[3]"];\n'
+         '  c1 [label="[6]"];\n  c4 [label="[13]"];\n  c5 [label="[15]"];\n'
+         '  c6 [label="[16]"];\n  c7 [label="[19]"];\n  c1 -- p1;\n'
+         '  c0 -- c4;\n  c0 -- c5;\n  c0 -- c1;\n  c1 -- c6;\n  c1 -- c7;\n'
+         '  c4 -- c6;\n  c5 -- c7;\n}',
+         'graph H {\n  p1 [label="p_1"];\n  c1 [label="[6]"];\n'
+         '  c6 [label="[16]"];\n  c7 [label="[19]"];\n  c1 -- p1;\n'
+         '  c1 -- c6;\n  c1 -- c7;\n}',
+         "((((()())(()()))()))"),
+        (path_tree([3, 4, 3]),
+         'graph H {\n  p1 [label="p_1"];\n  c0 [label="[5]"];\n'
+         '  c1 [label="[9]"];\n  c4 [label="[26]"];\n  c5 [label="[45]"];\n'
+         '  c1 -- p1;\n  c0 -- c4;\n  c0 -- c1;\n  c1 -- c5;\n'
+         '  c4 -- c5;\n}',
+         'graph H {\n  p1 [label="p_1"];\n  c1 [label="[9]"];\n'
+         '  c5 [label="[45]"];\n  c1 -- p1;\n  c1 -- c5;\n}',
+         "((((()())()())()))"),
+    ])
+    def test_pinned_outputs(self, text, dot, pruned, tree):
+        dg = D.build_delta(T.subdivide_for(T.parse_tree(text), 5), 5)
+        assert D.hierarchy_to_dot(dg) == dot
+        assert D.hierarchy_to_dot(dg, pruned=True, n=5) == pruned
+        assert T.to_text(D.reconstruct_tree(dg, 5)) == tree
+        assert D.detect_n(dg) == 5
 
 
 def _unrooted_code(adj):

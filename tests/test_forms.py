@@ -53,14 +53,11 @@ class TestEval:
 class TestDifferential:
     def test_terms_valid_and_over_a(self, tmin4):
         t, cells = tmin4
-        seen = set()
-        for c in cells:
-            if (c.a, c.x) in seen:
-                continue
-            seen.add((c.a, c.x))
-            for term in F.differential_0form(t, c.a, c.x).terms:
+        for form in F.basic_0forms(cells):
+            a, x = form.base
+            for term in F.differential_0form(t, a, x).terms:
                 (u,) = term.factors
-                assert u.a == c.a
+                assert u.a == a
                 assert C.is_valid_reduced(u, t)
 
     def test_formal_dd_zero(self, tmin4):
@@ -82,15 +79,11 @@ class TestDifferential:
 class TestNecessary:
     def test_zero_form_cells_noncritical(self, tmin4):
         t, cells = tmin4
-        seen = set()
-        for c in cells:
-            if (c.a, c.x) in seen:
-                continue
-            seen.add((c.a, c.x))
-            nec = F.is_necessary(F.BasicForm((c.a, c.x), ()), t, 4)
+        for form in F.basic_0forms(cells):
+            nec = F.is_necessary(form, t, 4)
             if nec is not None:
                 assert not C.is_critical(nec)
-                assert (nec.a, nec.x) == (c.a, c.x)
+                assert (nec.a, nec.x) == form.base
 
     def test_one_form_unique_respectful(self, mixed5):
         t, cells = mixed5
