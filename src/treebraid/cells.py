@@ -35,7 +35,7 @@ class ReducedOneCell(NamedTuple):
 
     @classmethod
     def from_json(cls, obj):
-        return cls(int(obj["a"]), int(obj["d"]), tuple(int(v) for v in obj["x"]))
+        return cls(int(obj["a"]), int(obj["d"]), tuple(map(int, obj["x"])))
 
 
 class ExplicitCell(NamedTuple):

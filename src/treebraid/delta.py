@@ -8,6 +8,7 @@ detection, and the isomorphism decision for n in {4, 5}.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from itertools import combinations
 from typing import NamedTuple
 
@@ -40,15 +41,17 @@ class DeltaGraph:
 
     def __init__(self, num_vertices, edges, cells=None, n=None):
         self.num_vertices = num_vertices
-        nb = {}
+        nb = defaultdict(list)  # repeats vanish in the frozensets below
         for e in edges:
             e = frozenset(e)
-            if len(e) != 2 or not all(
-                    isinstance(v, int) and 0 <= v < num_vertices for v in e):
+            if len(e) != 2:
                 raise ValueError("bad edge %r" % (sorted(e),))
             i, j = e
-            nb.setdefault(i, set()).add(j)
-            nb.setdefault(j, set()).add(i)
+            if not (isinstance(i, int) and 0 <= i < num_vertices
+                    and isinstance(j, int) and 0 <= j < num_vertices):
+                raise ValueError("bad edge %r" % (sorted(e),))
+            nb[i].append(j)
+            nb[j].append(i)
         by_nb = {}
         for v in sorted(nb):
             by_nb.setdefault(frozenset(nb[v]), []).append(v)
@@ -57,6 +60,7 @@ class DeltaGraph:
         self.ns = [frozenset(cls[v] for v in vs) for vs in by_nb]
         self.cells = list(cells) if cells is not None else None
         self.n = n
+        self._hierarchy = None  # built by hierarchy() on first use
 
     @property
     def edges(self):
@@ -230,7 +234,11 @@ class Hierarchy:
 
 
 def hierarchy(delta):
-    return Hierarchy(delta)
+    """The Hierarchy of delta, built on first use and kept with delta,
+    so that detecting n and reconstructing share one."""
+    if delta._hierarchy is None:
+        delta._hierarchy = Hierarchy(delta)
+    return delta._hierarchy
 
 
 def _rooted_hierarchy(delta, root=None):

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from . import cells as _cells
+from . import tree as _tree
 from .cells import ReducedOneCell
 
 
@@ -143,32 +144,71 @@ def differential(form, t, include_extraneous=False):
         for c in _differential_terms(t, a, x, include_extraneous)))
 
 
-def coboundary_oracle_check(form, t, complex_):
+class OracleIndex:
+    """Lookup tables over an oracle complex for coboundary_oracle_check,
+    built once per complex and dropped with it.
+
+    ones[e]: the 1-cells over edge e.  twos[edges]: the 2-cells whose
+    edges include the frozenset edges (one edge or both).  cofaces[i]:
+    the 2-cells having 1-cell i as a face.  profiles[a][bar, x]: the
+    1-cells whose D-profile (bar False) or D-bar-profile (bar True) at
+    the essential vertex a is x.  All values are lists of cell indices.
+    """
+
+    def __init__(self, t, complex_):
+        one_cells, two_cells = complex_.cells_by_dim[1:3]
+        self.ones = {}
+        for i, c in enumerate(one_cells):
+            (e,) = c.edges
+            self.ones.setdefault(e, []).append(i)
+        self.twos = {}
+        for s, c in enumerate(two_cells):
+            e, f = c.edges
+            for key in (frozenset((e,)), frozenset((f,)), c.edges):
+                self.twos.setdefault(key, []).append(s)
+        self.cofaces = [[] for _ in one_cells]
+        for s, faces in enumerate(complex_.faces[2]):
+            for f in faces:
+                self.cofaces[f].append(s)
+        self.profiles = {}
+        for a in _tree.essential_vertices(t):
+            by = self.profiles[a] = {}
+            for i, c in enumerate(one_cells):
+                for bar in (False, True):
+                    by.setdefault((bar, _profile(t, a, c, bar)), []).append(i)
+
+
+def coboundary_oracle_check(form, t, complex_, index):
     """True iff d(form) agrees with the cochain coboundary of form on
     every 2-cell of complex_, an oracle complex built on t itself (so
-    that vertex ids agree).
+    that vertex ids agree); index is its OracleIndex, and form has a
+    0-form factor f(a,x) with a essential.
+
+    Both sides are compared as sets of 2-cells.  delta(form) is the XOR
+    of the cofaces of the 1-cells in the support of the form: cells
+    whose D- or D-bar-profile at a is x and that lie over the edge of
+    every dc factor.  Each term of d(form) is nonzero only on 2-cells
+    containing its edges.  The index only narrows the cells; eval_form
+    decides every value.
     """
-    dform = differential(form, t, include_extraneous=True)
-    one_cells = complex_.cells_by_dim[1]
-    # every term of either side contains the edge of every dc factor, so
-    # 2-cells missing one of those edges contribute 0 = 0
-    required = frozenset(
-        t.children[c.a][c.d - 1] for c in form.factors)
-    on_face = {}  # 1-cell index -> form value; 2-cells share faces
-    for s, faces in zip(complex_.cells_by_dim[2], complex_.faces[2]):
-        if not required <= s.edges:
-            continue
-        lhs = 0
-        for term in dform.terms:
-            lhs ^= eval_form(term, s, t)
-        rhs = 0
-        for f in faces:
-            if f not in on_face:
-                on_face[f] = eval_form(form, one_cells[f], t)
-            rhs ^= on_face[f]
-        if lhs != rhs:
-            return False
-    return True
+    one_cells, two_cells = complex_.cells_by_dim[1:3]
+    a, x = form.base
+    by = index.profiles[a]
+    support = set(by.get((False, x), ())).union(by.get((True, x), ()))
+    for c in form.factors:
+        support.intersection_update(
+            index.ones.get(t.children[c.a][c.d - 1], ()))
+    delta = set()
+    for i in support:
+        if eval_form(form, one_cells[i], t):
+            delta.symmetric_difference_update(index.cofaces[i])
+    d = set()
+    for term in differential(form, t, include_extraneous=True).terms:
+        edges = frozenset(t.children[c.a][c.d - 1] for c in term.factors)
+        d.symmetric_difference_update(
+            s for s in index.twos.get(edges, ())
+            if eval_form(term, two_cells[s], t))
+    return d == delta
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ This is deliberately independent of the Morse-theoretic modules: cells
 are enumerated directly as sets of n pairwise-disjoint closed vertices
 and edges of a subdivided tree, boundary matrices are assembled from the
 face maps (replace each edge by either endpoint), and Betti numbers come
-from sparse GF(2) elimination.  Used to validate the critical-cell
-counts and the d = delta identity.
+from GF(2) elimination on int-bitmask columns.  Used to validate the
+critical-cell counts and the d = delta identity.
 """
 
 from __future__ import annotations
@@ -30,39 +30,43 @@ class BudgetExceeded(RuntimeError):
 class CubeComplex:
     """Cells of UD_nT by dimension, with face maps.
 
-    cells_by_dim[k] is a list of ExplicitCell; index[k] maps cell ->
-    position; faces[k][i] lists the 2k codim-1 face indices of cell i.
+    cells_by_dim[k] is a list of ExplicitCell; faces[k][i] lists the 2k
+    codim-1 face indices of cell i.  Faces are found by int keys: bit 2v
+    marks an occupied vertex v and bit 2e+1 an occupied edge e, so the
+    face that moves edge e to its endpoint u has key
+    key & ~(1 << 2e+1) | 1 << 2u, looked up in one dict of the
+    dimension below, kept only while that dimension's faces are built.
+    Boundary columns are int bitmasks of face indices.
     """
 
     def __init__(self, t, n, cells_by_dim):
         self.tree = t
         self.n = n
         self.cells_by_dim = cells_by_dim
-        self.index = [
-            {c: i for i, c in enumerate(cells)} for cells in cells_by_dim]
         self.faces = [None] * len(cells_by_dim)
-        for k in range(1, len(cells_by_dim)):
-            fk = []
-            for c in cells_by_dim[k]:
-                row = []
-                for e in c.edges:
-                    rest = c.edges - {e}
-                    for endpoint in (e, t.parent[e]):
-                        face = ExplicitCell(c.vertices | {endpoint}, rest)
-                        row.append(self.index[k - 1][face])
-                fk.append(row)
-            self.faces[k] = fk
+        lower = None  # key -> index of the cells one dimension down
+        for k, cells in enumerate(cells_by_dim):
+            keys = [sum(1 << 2 * v for v in c.vertices)
+                    | sum(2 << 2 * e for e in c.edges) for c in cells]
+            if k:
+                self.faces[k] = [
+                    [lower[key & ~(2 << 2 * e) | 1 << 2 * u]
+                     for e in c.edges for u in (e, t.parent[e])]
+                    for c, key in zip(cells, keys)]
+            lower = {key: i for i, key in enumerate(keys)}
 
     def boundary_columns(self, k):
-        """Mod-2 boundary columns of dimension-k cells as sets of row
-        indices (faces appearing an even number of times cancel)."""
-        cols = []
-        for row in self.faces[k]:
-            col = set()
-            for f in row:
-                col.symmetric_difference_update({f})
-            cols.append(col)
-        return cols
+        """Mod-2 boundary columns of the dimension-k cells, made one at
+        a time, as int bitmasks of face indices (faces appearing an even
+        number of times cancel)."""
+        return map(_column, self.faces[k])
+
+
+def _column(row):
+    col = 0
+    for f in row:
+        col ^= 1 << f
+    return col
 
 
 def subdivide_exact(t, n):
@@ -117,21 +121,19 @@ def build_complex(t, n, max_dim=3, budget=5_000_000):
 
 
 def _rank_gf2(columns):
-    """Rank of a sparse GF(2) matrix given as columns (sets of row ids),
-    by persistence-style column reduction."""
+    """Rank of a GF(2) matrix given as int-bitmask columns (bit i is row
+    i), by persistence-style column reduction.  Columns are taken one at
+    a time and only the pivots are kept."""
     pivots = {}
-    rank = 0
     for col in columns:
-        col = set(col)
         while col:
-            low = max(col)
+            low = col.bit_length() - 1
             piv = pivots.get(low)
             if piv is None:
                 pivots[low] = col
-                rank += 1
                 break
             col ^= piv
-    return rank
+    return len(pivots)
 
 
 def _rank_incidence(t_complex):
@@ -176,12 +178,11 @@ def betti(complex_):
 def check_dd_zero(complex_):
     """ddc = 0 over Z/2 for every cell of dimension >= 2."""
     for k in range(2, len(complex_.cells_by_dim)):
-        cols = complex_.boundary_columns(k)
-        lower = complex_.boundary_columns(k - 1) if k >= 2 else None
-        for col in cols:
-            acc = set()
-            for f in col:
-                acc ^= lower[f]
+        lower = complex_.faces[k - 1]
+        for row in complex_.faces[k]:
+            acc = 0
+            for f in row:  # a face listed twice cancels in the XOR
+                acc ^= _column(lower[f])
             if acc:
                 return False
     return True
@@ -221,7 +222,7 @@ def verify_d_equals_delta(t, n, forms_sample, rng=None):
     n+2-subdivided tree so that form and complex vertices agree.
     forms_sample is the number of basic 1-forms to sample (all basic
     0-forms over essential vertices are always checked).  Returns a
-    report dict.
+    report dict; on budget overflow the report says skipped.
     """
     import random
 
@@ -230,14 +231,19 @@ def verify_d_equals_delta(t, n, forms_sample, rng=None):
 
     rng = rng or random.Random(0)
     ts = _tree.subdivide_for(t, n)
-    cx = build_complex(ts, n, max_dim=2)
+    try:
+        cx = build_complex(ts, n, max_dim=2)
+    except BudgetExceeded as exc:
+        return {"tree": _tree.to_text(t), "n": n, "skipped": str(exc),
+                "pass": None}
+    index = _forms.OracleIndex(ts, cx)
     all_cells = _cells.enumerate_reduced_1cells(ts, n)
     checked = 0
     failures = []
 
     def check(form):
         nonlocal checked
-        ok = _forms.coboundary_oracle_check(form, ts, cx)
+        ok = _forms.coboundary_oracle_check(form, ts, cx, index)
         checked += 1
         if not ok:
             failures.append(form)

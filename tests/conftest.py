@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
 
-from treebraid import tree as T
+from treebraid import delta as D, tree as T
 
 DEGREES = (3, 4, 5)
 
@@ -52,6 +52,19 @@ def caterpillar(k):
     (the last one two).  Built as a string: a recursive builder would
     itself exceed the default recursion limit at the depths used."""
     return "(" + "(" * (k - 1) + "(()())" + "())" * (k - 1) + ")"
+
+
+def count_hierarchies(monkeypatch):
+    """The list of Deltas each Hierarchy is built for, from now on."""
+    built = []
+    init = D.Hierarchy.__init__
+
+    def counting(self, delta):
+        built.append(delta)
+        init(self, delta)
+
+    monkeypatch.setattr(D.Hierarchy, "__init__", counting)
+    return built
 
 
 def build_corpus():

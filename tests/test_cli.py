@@ -4,7 +4,8 @@ import pytest
 
 from treebraid import cli, tree as T
 
-from conftest import T_MIN, caterpillar, path_tree, radial_tree
+from conftest import (T_MIN, caterpillar, count_hierarchies, path_tree,
+                      radial_tree)
 
 
 @pytest.fixture
@@ -62,7 +63,8 @@ class TestVerbs:
         assert T.trees_homeomorphic(T.parse_tree(out),
                                     T.parse_tree(T_MIN))
 
-    def test_reconstruct_detects_n(self, capsys, tmp_path, tmin_file):
+    def test_reconstruct_detects_n(self, capsys, tmp_path, tmin_file,
+                                   monkeypatch):
         _, out, _ = run(capsys, "delta", tmin_file, "--n", "5")
         obj = json.loads(out)
         obj.pop("n")
@@ -70,8 +72,10 @@ class TestVerbs:
             v.pop("cell", None)
         dpath = tmp_path / "anon.json"
         dpath.write_text(json.dumps(obj))
+        built = count_hierarchies(monkeypatch)
         code, out, _ = run(capsys, "reconstruct", "--delta", str(dpath))
         assert code == 0
+        assert len(built) == 1  # detecting n and reconstructing share it
         assert T.trees_homeomorphic(T.parse_tree(out),
                                     T.parse_tree(T_MIN))
 
@@ -156,6 +160,14 @@ class TestVerbs:
         assert code == 0
         assert rep["counts"]["pass"] is True
         assert rep["coboundary"]["pass"] is True
+
+    def test_verify_over_budget_skipped(self, capsys, tmin_file):
+        code, out, err = run(capsys, "verify", tmin_file, "--n", "5")
+        rep = json.loads(out)
+        assert (code, err) == (0, "")
+        for part in ("counts", "coboundary"):
+            assert rep[part]["pass"] is None
+            assert rep[part]["skipped"].startswith("estimated ")
 
     def test_presentation(self, capsys, tmp_path):
         p = tmp_path / "t.tree"

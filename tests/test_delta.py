@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from treebraid import cells as C, delta as D, tree as T
 
-from conftest import CORPUS, T_MIN, path_tree, radial_tree, star_tree
+from conftest import (CORPUS, T_MIN, count_hierarchies, path_tree,
+                      radial_tree, star_tree)
 
 
 @pytest.fixture(scope="module")
@@ -367,6 +368,13 @@ class TestDecide:
         assert D.decide_isomorphic(anon, (T.parse_tree(T_MIN), 5))
         assert not D.decide_isomorphic(
             anon, (T.parse_tree(path_tree([3, 3, 3])), 5))
+
+    def test_one_hierarchy_per_delta(self, tmin5, monkeypatch):
+        t, dg = tmin5
+        anon = D.DeltaGraph(dg.num_vertices, dg.edges)  # n is detected
+        built = count_hierarchies(monkeypatch)
+        assert D.decide_isomorphic(anon, (T.parse_tree(T_MIN), 5))
+        assert built == [anon]
 
     def test_across_n(self):
         t = T.parse_tree(T_MIN)

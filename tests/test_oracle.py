@@ -1,8 +1,68 @@
-import pytest
+import random
 
-from treebraid import cells as C, oracle as O, tree as T
+import pytest
+from hypothesis import given, strategies as st
+
+from treebraid import cells as C, forms as F, oracle as O, tree as T
+from treebraid.cells import ExplicitCell
 
 from conftest import T_MIN, path_tree, radial_tree
+
+
+def reference_faces(cx):
+    """faces[k] found by hashing each face as a frozenset ExplicitCell."""
+    t = cx.tree
+    out = [None]
+    for k in range(1, len(cx.cells_by_dim)):
+        index = {c: i for i, c in enumerate(cx.cells_by_dim[k - 1])}
+        out.append([
+            [index[ExplicitCell(c.vertices | {u}, c.edges - {e})]
+             for e in c.edges for u in (e, t.parent[e])]
+            for c in cx.cells_by_dim[k]])
+    return out
+
+
+def reference_rank(columns):
+    """GF(2) rank by reduction on columns held as sets of row ids."""
+    pivots = {}
+    for col in columns:
+        col = set(col)
+        while col:
+            piv = pivots.get(max(col))
+            if piv is None:
+                pivots[max(col)] = col
+                break
+            col ^= piv
+    return len(pivots)
+
+
+def reference_check(form, t, cx):
+    """coboundary_oracle_check by scanning every 2-cell: d(form) and the
+    coboundary of form evaluated on it and on its faces."""
+    dform = F.differential(form, t, include_extraneous=True)
+    one_cells = cx.cells_by_dim[1]
+    required = frozenset(t.children[c.a][c.d - 1] for c in form.factors)
+    for s, faces in zip(cx.cells_by_dim[2], cx.faces[2]):
+        if not required <= s.edges:
+            continue
+        lhs = rhs = 0
+        for term in dform.terms:
+            lhs ^= F.eval_form(term, s, t)
+        for f in faces:
+            rhs ^= F.eval_form(form, one_cells[f], t)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def forms_to_check(ts, n, sample, seed):
+    """Every basic 0-form, then a seeded sample of basic 1-forms (none
+    over a single essential vertex)."""
+    cells = C.enumerate_reduced_1cells(ts, n)
+    pairs = [(c, c1) for c in cells for c1 in cells if c.a != c1.a]
+    pairs = random.Random(seed).sample(pairs, min(sample, len(pairs)))
+    return F.basic_0forms(cells) + [
+        F.BasicForm((c.a, c.x), (c1,)) for c, c1 in pairs]
 
 
 class TestComplex:
@@ -30,10 +90,24 @@ class TestComplex:
             cx = O.build_complex(t, n, max_dim=3)
             assert O.check_dd_zero(cx)
 
+    @pytest.mark.parametrize("text,n", [(radial_tree(3), 3),
+                                        (path_tree([3, 3]), 3),
+                                        (radial_tree(4), 3)])
+    def test_int_keyed_faces(self, text, n):
+        t = O.subdivide_exact(T.parse_tree(text), n)
+        cx = O.build_complex(t, n, max_dim=3)
+        assert cx.faces == reference_faces(cx)
+
     def test_budget(self):
         t = O.subdivide_exact(T.parse_tree(T_MIN), 5)
         with pytest.raises(O.BudgetExceeded):
             O.build_complex(t, 5, max_dim=3, budget=10)
+
+
+@given(st.lists(st.frozensets(st.integers(0, 24), max_size=6), max_size=30))
+def test_bitmask_rank(columns):
+    masks = [sum(1 << i for i in col) for col in columns]
+    assert O._rank_gf2(masks) == reference_rank(columns)
 
 
 class TestBetti:
@@ -65,3 +139,38 @@ class TestCoboundary:
         rep = O.verify_d_equals_delta(T.parse_tree(path_tree([3, 3])), 4, 20)
         assert rep["pass"] is True
         assert rep["checked"] > 20
+
+    def test_over_budget_skipped(self):
+        rep = O.verify_d_equals_delta(T.parse_tree(T_MIN), 5, 10)
+        assert rep["pass"] is None
+        assert rep["skipped"].startswith("estimated ")
+
+
+@pytest.mark.parametrize("text,n", [(path_tree([3, 3]), 4),
+                                    (radial_tree(3), 5)])
+def test_indexed_check_matches_scan(text, n):
+    # criterion 8's inputs
+    ts = T.subdivide_for(T.parse_tree(text), n)
+    cx = O.build_complex(ts, n, max_dim=2)
+    index = F.OracleIndex(ts, cx)
+    for form in forms_to_check(ts, n, 20, seed=11):
+        assert F.coboundary_oracle_check(form, ts, cx, index) \
+            == reference_check(form, ts, cx), form
+
+
+def test_dropped_term_fails_both(monkeypatch):
+    ts = T.subdivide_for(T.parse_tree(radial_tree(3)), 3)
+    cx = O.build_complex(ts, 3, max_dim=2)
+    index = F.OracleIndex(ts, cx)
+    differential = F.differential
+
+    def drop_one(form, t, include_extraneous=False):
+        terms = differential(form, t, include_extraneous).terms
+        return F.FormSum(frozenset(sorted(terms, key=str)[1:]))
+
+    forms = F.basic_0forms(C.enumerate_reduced_1cells(ts, 3))
+    assert forms
+    monkeypatch.setattr(F, "differential", drop_one)
+    for form in forms:
+        assert not F.coboundary_oracle_check(form, ts, cx, index), form
+        assert not reference_check(form, ts, cx), form
