@@ -75,23 +75,32 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def enumerate_reduced_1cells(t, n):
-    """All non-extraneous reduced 1-cells of UD_nT.
+def _template(n, deg):
+    """The (d, x) pairs of the non-extraneous reduced 1-cells at a vertex
+    of degree deg, in enumeration order: by d, then x in the order of
+    _compositions.  Non-extraneous means n - x[0] - x[d] >= 1."""
+    xs = list(_compositions(n, deg))
+    return [(d, x) for d in range(1, deg) for x in xs
+            if x[d] >= 1 and n - x[0] - x[d] >= 1]
 
+
+def enumerate_reduced_1cells(t, n):
+    """All non-extraneous reduced 1-cells of UD_nT, by essential vertex
+    a in id order, then by d, then x in the order of _compositions.
+
+    The (d, x) list depends only on the degree of a, so it is built once
+    per degree (_template) and stamped at every vertex of that degree.
     Requires t sufficiently subdivided for n+2 strands.
     """
     if not _tree.is_sufficiently_subdivided(t, n + 2):
         raise ValueError("tree is not sufficiently subdivided for n+2 strands")
+    templates = {}
     out = []
     for a in _tree.essential_vertices(t):
         deg = t.degree(a)
-        for d in range(1, deg):
-            for x in _compositions(n, deg):
-                if x[d] < 1:
-                    continue
-                if not any(x[i] >= 1 for i in range(deg) if i not in (0, d)):
-                    continue
-                out.append(ReducedOneCell(a, d, x))
+        if deg not in templates:
+            templates[deg] = _template(n, deg)
+        out.extend([ReducedOneCell(a, d, x) for d, x in templates[deg]])
     return out
 
 
@@ -144,10 +153,12 @@ def _stack(t, a, d, x):
 
 def to_explicit(c, t, n):
     """Concrete blocked cell of UD_nT realizing the reduced 1-cell c."""
-    assert sum(c.x) == n
+    if sum(c.x) != n:
+        raise ValueError("cell %r does not have %d strands" % (c, n))
     verts, edges = _stack(t, c.a, c.d, c.x)
     cell = ExplicitCell(frozenset(verts), frozenset(edges))
-    assert cell.n == n
+    if cell.n != n:
+        raise RuntimeError("stacking %r gave %d strands" % (c, cell.n))
     return cell
 
 
@@ -175,15 +186,17 @@ def _ordered(c1, c2):
 def upper_bound_exists(c1, c2, t):
     """Upper Bound Lemma test: with a <= b, alpha the direction from a to
     b, the pair {[c1],[c2]} has an upper bound iff a != b and
-    x[alpha] + y[0] >= n + eps, eps = 1 iff d == alpha."""
-    c1, c2, _ = _ordered(c1, c2)
-    if c1.a == c2.a:
+    x[alpha] + y[0] >= n + eps, eps = 1 iff d == alpha.  Raises
+    ValueError when the cells have different strand counts."""
+    if c1.a > c2.a:
+        c1, c2 = c2, c1
+    elif c1.a == c2.a:
         return False
-    n = c1.n
-    assert n == c2.n
-    alpha = _tree.direction(t, c1.a, c2.a)
-    eps = 1 if c1.d == alpha else 0
-    return c1.x[alpha] + c2.x[0] >= n + eps
+    n = sum(c1.x)
+    if sum(c2.x) != n:
+        raise ValueError("cells %r and %r differ in strand count" % (c1, c2))
+    alpha = t.directions(c1.a)[c2.a]
+    return c1.x[alpha] + c2.x[0] >= n + (c1.d == alpha)
 
 
 def lub_reduced(c1, c2, t, n):
@@ -192,6 +205,9 @@ def lub_reduced(c1, c2, t, n):
     c1, c2, _ = _ordered(c1, c2)
     if not upper_bound_exists(c1, c2, t):
         raise ValueError("no upper bound")
+    if sum(c1.x) != n:
+        raise ValueError("cells %r and %r do not have %d strands"
+                         % (c1, c2, n))
     alpha = _tree.direction(t, c1.a, c2.a)
     x1 = list(c1.x)
     x1[alpha] -= n - c2.x[0]
@@ -201,9 +217,11 @@ def lub_reduced(c1, c2, t, n):
     v2, e2 = _stack(t, c2.a, c2.d, y2)
     verts = frozenset(v1) | frozenset(v2)
     edges = frozenset(e1) | frozenset(e2)
-    assert len(verts) == len(v1) + len(v2) and len(edges) == 2
     cell = ExplicitCell(verts, edges)
-    assert cell.n == n
+    if (len(verts) != len(v1) + len(v2) or len(edges) != 2
+            or cell.n != n):
+        raise RuntimeError("least upper bound of %r and %r is not a 2-cell"
+                           " on %d strands" % (c1, c2, n))
     return cell
 
 

@@ -36,7 +36,7 @@ def _load_tree(path):
 def _load_delta(path):
     try:
         return _delta.DeltaGraph.from_json(json.loads(_read_text(path)))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise SystemExit(_fail("cannot read delta %r: %s" % (path, exc)))
 
 

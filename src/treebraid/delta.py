@@ -148,8 +148,15 @@ def m_cup_adjacent(c, cp, t, n):
 
 def build_delta(t, n):
     """Delta for (t, n): one vertex per critical 1-cell (in <_r order),
-    edges the pairs whose M-classes cup nontrivially."""
-    crit = _forms.ROrder(t, n).critical
+    edges the pairs whose M-classes cup nontrivially.
+
+    Only the critical cells are put in <_r order (ROrder.sort gives
+    them in the order of ROrder(t, n).critical); the noncritical cells
+    are dropped straight after enumeration.
+    """
+    crit = _forms.ROrder.sort(
+        [c for c in _cells.enumerate_reduced_1cells(t, n)
+         if _cells.is_critical(c)], n)
     edges = ((i, j) for i, bucket in _cells.upper_bound_buckets(crit, t)
              if m_cup_adjacent(crit[i], crit[bucket[0]], t, n)
              for j in bucket)

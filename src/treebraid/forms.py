@@ -11,6 +11,7 @@ bitmask of row indices (bit i of cols[j] is the (i, j) entry).
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import NamedTuple, Optional
 
 from . import cells as _cells
@@ -223,7 +224,7 @@ def is_necessary(form, t, n):
     necessary cell.  k=1: f(a,x)dc_1 is necessary iff there is a cell
     (a,d,x) whose class has an upper bound with [c_1] such that its edge
     is the unique respectful edge in the reduced representative of the
-    least upper bound; uniqueness of d is asserted.
+    least upper bound; RuntimeError if more than one d qualifies.
     """
     if form.base is None:
         return None
@@ -255,7 +256,8 @@ def is_necessary(form, t, n):
         own_flag, other_flag = _cells.edge_disrespectful_in_lub(c, c1, t)
         if not own_flag and other_flag:  # e is the unique respectful edge
             found.append(c)
-    assert len(found) <= 1, "necessary 1-cell is not unique: %r" % (found,)
+    if len(found) > 1:
+        raise RuntimeError("necessary 1-cell is not unique: %r" % (found,))
     return found[0] if found else None
 
 
@@ -326,32 +328,28 @@ def corresponding_cell(c, n):
 
 
 class ROrder:
-    """Total order on all non-extraneous reduced 1-cells.
+    """Total order <_r on all non-extraneous reduced 1-cells.
 
-    Lexicographic on (a, -x_0, d), ties broken lexicographically on x;
-    then each corresponding Type I/II pair (n=5) switches places so that
-    the Type II cell is the smaller.  ri indexes all cells, si the
-    critical ones, ti the noncritical ones (all 0-based).
+    cells lists them as ROrder.sort orders them.  ri indexes all cells,
+    si the critical ones, ti the noncritical ones (all 0-based).
+    critical_runs cuts the critical cells into maximal runs of equal
+    (a, x[0]); <_r sorts by a and then by -x[0], so the runs concatenate
+    to critical.
     """
 
     def __init__(self, t, n):
         self.tree = t
         self.n = n
-        cells = sorted(_cells.enumerate_reduced_1cells(t, n), key=self.key)
-        if n == 5:
-            pos = {c: i for i, c in enumerate(cells)}
-            for c in list(cells):
-                if classify_exceptional(c, n) == "I":
-                    c2 = corresponding_cell(c, n)
-                    i, j = pos[c], pos[c2]
-                    cells[i], cells[j] = cells[j], cells[i]
-                    pos[c], pos[c2] = j, i
+        cells = self.sort(_cells.enumerate_reduced_1cells(t, n), n)
         self.cells = cells
         self.ri = {c: i for i, c in enumerate(cells)}
         self.critical = [c for c in cells if _cells.is_critical(c)]
         self.noncritical = [c for c in cells if not _cells.is_critical(c)]
         self.si = {c: i for i, c in enumerate(self.critical)}
         self.ti = {c: i for i, c in enumerate(self.noncritical)}
+        self.critical_runs = [
+            list(run) for _, run in
+            groupby(self.critical, key=lambda c: (c.a, c.x[0]))]
         self.rm = len(cells)
         self.sm = len(self.critical)
         self.tm = len(self.noncritical)
@@ -361,6 +359,22 @@ class ROrder:
         """The lexicographic key (a, -x_0, d, x), before the Type I/II
         swap."""
         return (c.a, -c.x[0], c.d, c.x)
+
+    @staticmethod
+    def sort(cells, n):
+        """The cells in <_r order: sorted by key, then each corresponding
+        Type I/II pair (n=5) switches places so that the Type II cell is
+        the smaller.  Both cells of a pair are critical, so sorting the
+        critical cells alone gives the critical subsequence of the whole
+        order.  cells must hold the partner of each Type I cell."""
+        cells = sorted(cells, key=ROrder.key)
+        if n == 5:
+            type_i = [c for c in cells if classify_exceptional(c, n) == "I"]
+            pos = {c: i for i, c in enumerate(cells)}
+            for c in type_i:
+                i, j = pos[c], pos[corresponding_cell(c, n)]
+                cells[i], cells[j] = cells[j], cells[i]
+        return cells
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +438,29 @@ def u_vector(form, t, n, order):
 
 def necessary_witnesses(c, t, n, order):
     """All necessary 1-forms f(a,x)dc_1, c_1 critical, whose necessary
-    cell is c."""
+    cell is c, in the <_r order of c_1.
+
+    For c_1 over a vertex b > c.a, upper_bound_exists and is_necessary
+    depend on c_1 only through direction(c.a, b) and x[0]: the Upper
+    Bound Lemma, and the flag of c_1's edge in the least upper bound is
+    is_critical(c_1), true for every critical c_1.  So the first cell of
+    each run in order.critical_runs over such a b decides the run.
+    Cells over b < c.a are tested one at a time.
+    """
+    base = (c.a, c.x)
+
+    def is_witness(c1):
+        return (_cells.upper_bound_exists(c, c1, t)
+                and is_necessary(BasicForm(base, (c1,)), t, n) == c)
+
     out = []
-    for c1 in order.critical:
-        if c1.a == c.a or not _cells.upper_bound_exists(c, c1, t):
-            continue
-        form = BasicForm((c.a, c.x), (c1,))
-        if is_necessary(form, t, n) == c:
-            out.append(form)
+    for run in order.critical_runs:
+        b = run[0].a
+        if b > c.a:
+            if is_witness(run[0]):
+                out.extend(BasicForm(base, (c1,)) for c1 in run)
+        elif b < c.a:
+            out.extend(BasicForm(base, (c1,)) for c1 in run if is_witness(c1))
     return out
 
 
@@ -518,16 +547,20 @@ def cup_normal_form(c1, c2, t, n, order=None):
     presentation: the coboundary support chain of the necessary 1-form
     witnessing the respectful edge, or of the necessary 0-form of a
     noncritical member.  Each rewrite replaces a cell by strictly
-    <_r-larger cells over the same vertex, so the loop terminates.
+    <_r-larger cells over the same vertex, so the loop terminates.  A
+    pair with no upper bound, or whose least upper bound is critical, is
+    answered before the order is needed.
     """
+    if c1 == c2 or not _cells.upper_bound_exists(c1, c2, t):
+        return frozenset()
+    work = {frozenset((c1, c2))}
+    if _cells.lub_is_critical(c1, c2, t):
+        return frozenset(work)
     order = order or ROrder(t, n)
 
     def rank(c):
         return order.ri[c]
 
-    work = set()
-    if c1 != c2 and _cells.upper_bound_exists(c1, c2, t):
-        work.add(frozenset((c1, c2)))
     for _ in range(order.rm * order.rm):
         target = None
         for pair in sorted(

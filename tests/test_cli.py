@@ -210,6 +210,16 @@ class TestErrors:
         p.write_text("{not json")
         assert run(capsys, "detect-n", "--delta", str(p))[0] == 2
 
+    def test_deep_delta_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 200000)
+        for argv in (["reconstruct", "--delta", str(p)],
+                     ["detect-n", "--delta", str(p)],
+                     ["iso", "--delta", str(p), str(p)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: cannot read delta")
+
     @pytest.mark.parametrize("file_n, argv", [(None, ["--n", "7"]),
                                               (3, [])])
     def test_reconstruct_bad_n_exit_2(self, capsys, tmp_path, file_n, argv):

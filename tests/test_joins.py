@@ -1,10 +1,13 @@
 """The Upper-Bound-Lemma joins against the pairwise loops they replace.
 
 count_critical_cells, build_delta and build_complex_K decide each pair
-of cells over vertices a < b once per bucket of upper_bound_buckets.
-The reference functions below test every pair of cells, as the package
-did before the joins; both must give the same counts, the same Delta
-(cells in order, edges and twin classes) and the same K.
+of cells over vertices a < b once per bucket of upper_bound_buckets,
+and necessary_witnesses decides each run of critical cells over a
+vertex b > a with one call.  The reference functions below test every
+pair of cells, as the package did before the joins; both must give the
+same counts, the same Delta (cells in order, edges and twin classes),
+the same K, the same witnesses and the same M.  per_direction_cells is
+the enumeration before the per-degree templates.
 """
 
 import pytest
@@ -29,7 +32,24 @@ def pairwise_count(t, n):
     return len(cells), count_2
 
 
+def per_direction_cells(t, n):
+    """The reduced 1-cells with the compositions rebuilt for every
+    direction at every essential vertex."""
+    out = []
+    for a in T.essential_vertices(t):
+        deg = t.degree(a)
+        for d in range(1, deg):
+            for x in C._compositions(n, deg):
+                if x[d] < 1:
+                    continue
+                if not any(x[i] >= 1 for i in range(deg) if i not in (0, d)):
+                    continue
+                out.append(C.ReducedOneCell(a, d, x))
+    return out
+
+
 def pairwise_delta(t, n):
+    # the vertices of Delta are ROrder's critical cells, in its order
     crit = F.ROrder(t, n).critical
     edges = set()
     for i in range(len(crit)):
@@ -63,6 +83,17 @@ def pairwise_K(t, n):
     return cells, edges
 
 
+def pairwise_witnesses(c, t, n, order):
+    out = []
+    for c1 in order.critical:
+        if c1.a == c.a or not C.upper_bound_exists(c, c1, t):
+            continue
+        form = F.BasicForm((c.a, c.x), (c1,))
+        if F.is_necessary(form, t, n) == c:
+            out.append(form)
+    return out
+
+
 def _subdivided(n):
     return [T.subdivide_for(T.parse_tree(s), n) for s in TREES]
 
@@ -81,6 +112,24 @@ class TestAgainstPairwise:
             assert dg.num_vertices == len(crit)
             assert dg.edges == edges
             assert dg.classes == twin_classes(edges)
+
+    def test_enumeration(self, n):
+        for t in _subdivided(n):
+            assert (C.enumerate_reduced_1cells(t, n)
+                    == per_direction_cells(t, n))
+
+    def test_witnesses_and_M(self, n, monkeypatch):
+        for t in _subdivided(n):
+            order = F.ROrder(t, n)
+            expected = {c: pairwise_witnesses(c, t, n, order)
+                        for c in order.cells}
+            for c in order.cells:
+                assert F.necessary_witnesses(c, t, n, order) == expected[c]
+            m = F.build_M(t, n, order)
+            with monkeypatch.context() as patch:
+                patch.setattr(F, "necessary_witnesses",
+                              lambda c, t, n, order: expected[c])
+                assert F.build_M(t, n, order) == m
 
     def test_complex_K(self, n):
         for t in _subdivided(n):
