@@ -7,7 +7,7 @@ reconstruction, isomorphism decision), oracle (brute-force configuration
 space homology), cli (command-line surface).
 """
 
-from . import cells, cli, delta, forms, oracle, tree
+from . import cells, delta, forms, oracle, tree
 from .cells import ReducedOneCell, count_critical_cells, radial_rank
 from .delta import DeltaGraph, Undefined, build_delta, decide_isomorphic, \
     detect_n, reconstruct_tree
@@ -24,3 +24,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # cli is loaded on first use: importing it here would make
+    # `python -m treebraid.cli` find it in sys.modules and warn
+    if name == "cli":
+        from importlib import import_module
+        return import_module(".cli", __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -75,23 +75,23 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _template(n, deg):
+def degree_template(n, deg, critical=False):
     """The (d, x) pairs of the non-extraneous reduced 1-cells at a vertex
-    of degree deg, in enumeration order: by d, then x in the order of
-    _compositions.  Non-extraneous means n - x[0] - x[d] >= 1."""
+    of degree deg (only the critical ones, if critical), in enumeration
+    order: by d, then x in the order of _compositions.  Non-extraneous
+    means n - x[0] - x[d] >= 1."""
     xs = list(_compositions(n, deg))
-    return [(d, x) for d in range(1, deg) for x in xs
-            if x[d] >= 1 and n - x[0] - x[d] >= 1]
+    out = [(d, x) for d in range(1, deg) for x in xs
+           if x[d] >= 1 and n - x[0] - x[d] >= 1]
+    if critical:
+        out = [(d, x) for d, x in out if is_critical(ReducedOneCell(0, d, x))]
+    return out
 
 
-def enumerate_reduced_1cells(t, n):
-    """All non-extraneous reduced 1-cells of UD_nT, by essential vertex
-    a in id order, then by d, then x in the order of _compositions.
-
-    The (d, x) list depends only on the degree of a, so it is built once
-    per degree (_template) and stamped at every vertex of that degree.
-    Requires t sufficiently subdivided for n+2 strands.
-    """
+def stamp(t, n, template):
+    """The cells whose (d, x) template(deg) lists, at each essential
+    vertex of t in id order; template is called once per degree.
+    Requires t sufficiently subdivided for n+2 strands."""
     if not _tree.is_sufficiently_subdivided(t, n + 2):
         raise ValueError("tree is not sufficiently subdivided for n+2 strands")
     templates = {}
@@ -99,9 +99,20 @@ def enumerate_reduced_1cells(t, n):
     for a in _tree.essential_vertices(t):
         deg = t.degree(a)
         if deg not in templates:
-            templates[deg] = _template(n, deg)
+            templates[deg] = template(deg)
         out.extend([ReducedOneCell(a, d, x) for d, x in templates[deg]])
     return out
+
+
+def enumerate_reduced_1cells(t, n):
+    """All non-extraneous reduced 1-cells of UD_nT, by essential vertex
+    a in id order, then by d, then x in the order of _compositions.
+
+    The (d, x) list depends only on the degree of a, so it is built once
+    per degree (degree_template) and stamped at every vertex of that
+    degree.  Requires t sufficiently subdivided for n+2 strands.
+    """
+    return stamp(t, n, lambda deg: degree_template(n, deg))
 
 
 def _walk_chain(t, start, count):
@@ -253,46 +264,70 @@ def lub_is_critical(c1, c2, t):
     return e_flag and f_flag
 
 
-def upper_bound_buckets(cells, t):
-    """Yield (i, bucket) for every index i into cells and every nonempty
-    bucket: the indices j of the cells over vertices b > cells[i].a that
-    share one direction alpha = direction(a, b) and one x[0].
+def template_joins(t, n, template, decide):
+    """(cells, joins): cells = stamp(t, n, template), and joins a
+    generator of (i, positions, bucket), one for every vertex a and
+    every bucket: the indices of the cells over vertices b > a that
+    share one alpha = direction(a, b) and one y0 = x[0].  i is the index
+    of a's first cell; the pairs kept are (i + p, j) for p in positions
+    and j in bucket.  Each pair of cells over distinct vertices lies in
+    exactly one bucket, seen from its smaller vertex (pairs over one
+    vertex never have an upper bound).
 
-    Every pair of cells over distinct vertices turns up exactly once,
-    from the side of its smaller vertex; pairs over one vertex never
-    have an upper bound and are left out.  By the Upper Bound Lemma,
-    upper_bound_exists of a pair over a < b depends on the second cell
-    only through alpha and y0 = x[0], and so do lub_is_critical and
-    m_cup_adjacent when both cells are critical.  One member therefore
-    decides the whole bucket.  Buckets are built per vertex a, so no
-    more than one vertex's buckets are held at a time.
+    positions are the template positions p with decide(cells[i + p],
+    cells[bucket[0]]) true.  The Upper Bound Lemma makes
+    upper_bound_exists, and lub_is_critical and m_cup_adjacent on
+    critical cells, depend on the first cell only through (d, x) and
+    alpha and on the second only through y0; decide must do the same.
+    So positions are kept per (degree of a, alpha, y0) within the call,
+    and decide is called once per such key and template position,
+    whatever the number of vertices.  Buckets are built per vertex a,
+    so no more than one vertex's buckets are held at a time.
     """
-    over = {}  # vertex -> y0 -> indices of the cells over it
-    for j, c in enumerate(cells):
-        over.setdefault(c.a, {}).setdefault(c.x[0], []).append(j)
-    verts = sorted(over)
-    for k, a in enumerate(verts):
-        dirs = t.directions(a)
-        buckets = {}
-        for b in verts[k + 1:]:
-            for y0, js in over[b].items():
-                buckets.setdefault((dirs[b], y0), []).extend(js)
-        for js in over[a].values():
-            for i in js:
-                for bucket in buckets.values():
-                    yield i, bucket
+    cells = stamp(t, n, template)
+
+    def joins():
+        runs = {}  # vertex -> indices of its cells
+        over = {}  # vertex -> y0 -> indices of its cells
+        for j, c in enumerate(cells):
+            runs.setdefault(c.a, []).append(j)
+            over.setdefault(c.a, {}).setdefault(c.x[0], []).append(j)
+        verts = sorted(runs)
+        passing = {}  # (degree, alpha, y0) -> template positions
+        for k, a in enumerate(verts):
+            dirs = t.directions(a)
+            buckets = {}
+            for b in verts[k + 1:]:
+                for y0, js in over[b].items():
+                    buckets.setdefault((dirs[b], y0), []).extend(js)
+            run = runs[a]
+            deg = t.degree(a)
+            for (alpha, y0), bucket in buckets.items():
+                key = (deg, alpha, y0)
+                if key not in passing:
+                    other = cells[bucket[0]]
+                    passing[key] = [p for p, i in enumerate(run)
+                                    if decide(cells[i], other)]
+                yield run[0], passing[key], bucket
+
+    return cells, joins()
 
 
 def count_critical_cells(t, n):
     """(number of critical 1-cells, number of critical 2-cells); these
-    are the Betti numbers b_1, b_2 of B_nT."""
-    cells = [c for c in enumerate_reduced_1cells(t, n) if is_critical(c)]
-    count_2 = 0
-    for i, bucket in upper_bound_buckets(cells, t):
-        c1, c2 = cells[i], cells[bucket[0]]
-        if upper_bound_exists(c1, c2, t) and lub_is_critical(c1, c2, t):
-            count_2 += len(bucket)
-    return len(cells), count_2
+    are the Betti numbers b_1, b_2 of B_nT.
+
+    A critical 2-cell is the critical least upper bound of two critical
+    1-cells.  template_joins decides each (degree, alpha, y0) once, and
+    b_2 is the sum of len(positions) * len(bucket) over its joins, so
+    no pair of cells is visited.
+    """
+    def decide(c1, c2):
+        return upper_bound_exists(c1, c2, t) and lub_is_critical(c1, c2, t)
+
+    cells, joins = template_joins(
+        t, n, lambda deg: degree_template(n, deg, critical=True), decide)
+    return len(cells), sum(len(ps) * len(bucket) for _, ps, bucket in joins)
 
 
 def radial_rank(n, x):

@@ -43,9 +43,10 @@ class DeltaGraph:
         self.num_vertices = num_vertices
         nb = defaultdict(list)  # repeats vanish in the frozensets below
         for e in edges:
-            e = frozenset(e)
-            if len(e) != 2:
-                raise ValueError("bad edge %r" % (sorted(e),))
+            pair = frozenset(e)
+            if len(pair) != 2 or len(e) != 2:  # [0, 1, 0] is no edge either
+                raise ValueError("bad edge %r"
+                                 % (sorted(pair if len(pair) != 2 else e),))
             i, j = e
             if not (isinstance(i, int) and 0 <= i < num_vertices
                     and isinstance(j, int) and 0 <= j < num_vertices):
@@ -150,16 +151,16 @@ def build_delta(t, n):
     """Delta for (t, n): one vertex per critical 1-cell (in <_r order),
     edges the pairs whose M-classes cup nontrivially.
 
-    Only the critical cells are put in <_r order (ROrder.sort gives
-    them in the order of ROrder(t, n).critical); the noncritical cells
-    are dropped straight after enumeration.
+    The critical template of each degree is put in <_r order once
+    (ROrder.template) and stamped at every vertex; <_r sorts by vertex
+    first, so this is the order of ROrder(t, n).critical.
+    template_joins decides m_cup_adjacent once per (degree, alpha, y0).
     """
-    crit = _forms.ROrder.sort(
-        [c for c in _cells.enumerate_reduced_1cells(t, n)
-         if _cells.is_critical(c)], n)
-    edges = ((i, j) for i, bucket in _cells.upper_bound_buckets(crit, t)
-             if m_cup_adjacent(crit[i], crit[bucket[0]], t, n)
-             for j in bucket)
+    crit, joins = _cells.template_joins(
+        t, n, lambda deg: _forms.ROrder.template(n, deg, critical=True),
+        lambda c, cp: m_cup_adjacent(c, cp, t, n))
+    edges = ((i + p, j) for i, ps, bucket in joins
+             for p in ps for j in bucket)
     return DeltaGraph(len(crit), edges, cells=crit, n=n)
 
 

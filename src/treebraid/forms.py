@@ -330,7 +330,8 @@ def corresponding_cell(c, n):
 class ROrder:
     """Total order <_r on all non-extraneous reduced 1-cells.
 
-    cells lists them as ROrder.sort orders them.  ri indexes all cells,
+    cells lists them as ROrder.sort orders them, stamped from the
+    per-degree templates of ROrder.template.  ri indexes all cells,
     si the critical ones, ti the noncritical ones (all 0-based).
     critical_runs cuts the critical cells into maximal runs of equal
     (a, x[0]); <_r sorts by a and then by -x[0], so the runs concatenate
@@ -340,12 +341,13 @@ class ROrder:
     def __init__(self, t, n):
         self.tree = t
         self.n = n
-        cells = self.sort(_cells.enumerate_reduced_1cells(t, n), n)
+        cells = _cells.stamp(t, n, lambda deg: self.template(n, deg))
         self.cells = cells
         self.ri = {c: i for i, c in enumerate(cells)}
-        self.critical = [c for c in cells if _cells.is_critical(c)]
-        self.noncritical = [c for c in cells if not _cells.is_critical(c)]
+        self.critical = _cells.stamp(
+            t, n, lambda deg: self.template(n, deg, critical=True))
         self.si = {c: i for i, c in enumerate(self.critical)}
+        self.noncritical = [c for c in cells if c not in self.si]
         self.ti = {c: i for i, c in enumerate(self.noncritical)}
         self.critical_runs = [
             list(run) for _, run in
@@ -359,6 +361,15 @@ class ROrder:
         """The lexicographic key (a, -x_0, d, x), before the Type I/II
         swap."""
         return (c.a, -c.x[0], c.d, c.x)
+
+    @staticmethod
+    def template(n, deg, critical=False):
+        """degree_template(n, deg, critical) in <_r order.  <_r sorts by
+        vertex first and a Type I/II pair shares its vertex, so stamping
+        this at every vertex in id order gives the whole order."""
+        cells = [ReducedOneCell(0, d, x)
+                 for d, x in _cells.degree_template(n, deg, critical)]
+        return [(c.d, c.x) for c in ROrder.sort(cells, n)]
 
     @staticmethod
     def sort(cells, n):
@@ -445,9 +456,16 @@ def necessary_witnesses(c, t, n, order):
     Bound Lemma, and the flag of c_1's edge in the least upper bound is
     is_critical(c_1), true for every critical c_1.  So the first cell of
     each run in order.critical_runs over such a b decides the run.
-    Cells over b < c.a are tested one at a time.
+
+    For c_1 over b < c.a the cells over c.a are the larger ones, so the
+    flag of the edge of a candidate (c.a, d, c.x) in the least upper
+    bound is is_critical of that candidate.  is_necessary wants that
+    edge respectful, so it can only return a noncritical cell: a
+    critical c has no witness there, and those runs are skipped.  For a
+    noncritical c they are tested one cell at a time.
     """
     base = (c.a, c.x)
+    critical = _cells.is_critical(c)
 
     def is_witness(c1):
         return (_cells.upper_bound_exists(c, c1, t)
@@ -459,7 +477,7 @@ def necessary_witnesses(c, t, n, order):
         if b > c.a:
             if is_witness(run[0]):
                 out.extend(BasicForm(base, (c1,)) for c1 in run)
-        elif b < c.a:
+        elif b < c.a and not critical:
             out.extend(BasicForm(base, (c1,)) for c1 in run if is_witness(c1))
     return out
 
@@ -524,12 +542,14 @@ def build_M(t, n, order=None):
 
 def build_complex_K(t, n):
     """K for n in {4,5}: vertices are all non-extraneous reduced
-    1-cells, edges the pairs of classes with an upper bound."""
-    cells = _cells.enumerate_reduced_1cells(t, n)
-    edges = set()
-    for i, bucket in _cells.upper_bound_buckets(cells, t):
-        if _cells.upper_bound_exists(cells[i], cells[bucket[0]], t):
-            edges.update(frozenset((cells[i], cells[j])) for j in bucket)
+    1-cells, edges the pairs of classes with an upper bound.
+    template_joins decides upper_bound_exists once per (degree, alpha,
+    y0) and template position."""
+    cells, joins = _cells.template_joins(
+        t, n, lambda deg: _cells.degree_template(n, deg),
+        lambda c1, c2: _cells.upper_bound_exists(c1, c2, t))
+    edges = {frozenset((cells[i + p], cells[j])) for i, ps, bucket in joins
+             for p in ps for j in bucket}
     return cells, edges
 
 

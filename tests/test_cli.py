@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +223,23 @@ class TestErrors:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
             assert err.startswith("error: cannot read delta")
+
+    def test_repeated_id_edge_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps({"vertices": [{"id": 0}, {"id": 1}],
+                                 "edges": [[0, 1, 0]]}))
+        code, out, err = run(capsys, "reconstruct", "--delta", str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read delta") and "bad edge" in err
+
+    def test_module_entry_point_quiet(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "treebraid.cli", "radial-rank", "--n", "4",
+             "--degree", "3"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "6\n", "")
 
     @pytest.mark.parametrize("file_n, argv", [(None, ["--n", "7"]),
                                               (3, [])])

@@ -440,7 +440,8 @@ class TestSerialization:
             D.DeltaGraph.from_json({"vertices": [{"id": 1}], "edges": []})
 
     def test_bad_edge_rejected(self):
-        for edge in [(0, 5), (0, 0), (0, 1, 2), (0, 0.5), (0.0, 1.0)]:
+        for edge in [(0, 5), (0, 0), (0, 1, 2), (0, 0.5), (0.0, 1.0),
+                     [0, 1, 0], [1, 0, 1, 1]]:
             with pytest.raises(ValueError, match="bad edge"):
                 D.DeltaGraph(2, [edge])
 

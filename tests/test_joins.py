@@ -1,13 +1,16 @@
 """The Upper-Bound-Lemma joins against the pairwise loops they replace.
 
 count_critical_cells, build_delta and build_complex_K decide each pair
-of cells over vertices a < b once per bucket of upper_bound_buckets,
-and necessary_witnesses decides each run of critical cells over a
-vertex b > a with one call.  The reference functions below test every
-pair of cells, as the package did before the joins; both must give the
-same counts, the same Delta (cells in order, edges and twin classes),
-the same K, the same witnesses and the same M.  per_direction_cells is
-the enumeration before the per-degree templates.
+of cells over vertices a < b through cells.template_joins: one decision
+per (degree of a, direction from a to b, y0 of the cell over b) and
+template position serves every vertex of that degree.
+necessary_witnesses decides each run of critical cells over a vertex
+b > a with one call, and a critical cell has no witness over b < a.
+The reference functions below test every pair of cells, as the package
+did before the joins; both must give the same counts, the same Delta
+(cells in order, edges and twin classes), the same K, the same
+witnesses and the same M.  per_direction_cells is the enumeration
+before the per-degree templates.
 """
 
 import pytest
@@ -115,8 +118,14 @@ class TestAgainstPairwise:
 
     def test_enumeration(self, n):
         for t in _subdivided(n):
-            assert (C.enumerate_reduced_1cells(t, n)
-                    == per_direction_cells(t, n))
+            cells = C.enumerate_reduced_1cells(t, n)
+            assert cells == per_direction_cells(t, n)
+            # ROrder stamps per-degree templates; the reference sorts
+            # every cell at once
+            order = F.ROrder(t, n)
+            assert order.cells == F.ROrder.sort(cells, n)
+            assert order.critical == [c for c in order.cells
+                                      if C.is_critical(c)]
 
     def test_witnesses_and_M(self, n, monkeypatch):
         for t in _subdivided(n):
@@ -137,11 +146,17 @@ class TestAgainstPairwise:
 
 
 class TestBuckets:
+    @staticmethod
+    def _joins(t, n):
+        return C.template_joins(t, n, lambda deg: C.degree_template(n, deg),
+                                lambda c1, c2: True)
+
     def test_each_cross_pair_once(self):
         t = T.subdivide_for(T.parse_tree(star_tree(4, (3, 4, 5))), 5)
-        cells = C.enumerate_reduced_1cells(t, 5)
-        seen = [(i, j) for i, bucket in C.upper_bound_buckets(cells, t)
-                for j in bucket]
+        cells, joins = self._joins(t, 5)
+        assert cells == C.enumerate_reduced_1cells(t, 5)
+        seen = [(i + p, j) for i, ps, bucket in joins
+                for p in ps for j in bucket]
         assert len(seen) == len(set(seen))
         assert set(seen) == {
             (i, j) for i, c in enumerate(cells) for j, d in enumerate(cells)
@@ -149,17 +164,20 @@ class TestBuckets:
 
     def test_bucket_shares_direction_and_y0(self):
         t = T.subdivide_for(T.parse_tree(path_tree([5, 3, 4])), 4)
-        cells = C.enumerate_reduced_1cells(t, 4)
-        for i, bucket in C.upper_bound_buckets(cells, t):
+        cells, joins = self._joins(t, 4)
+        for i, ps, bucket in joins:
             a = cells[i].a
+            assert all(cells[i + p].a == a for p in ps)
             keys = {(T.direction(t, a, cells[j].a), cells[j].x[0])
                     for j in bucket}
             assert len(keys) == 1
 
-    def test_count_calls_bounded(self, monkeypatch):
-        # at most one call per (cell, direction, y0), against one per
-        # pair of cells (692 440 on this tree) for the pairwise loop
-        t = T.subdivide_for(T.parse_tree(path_tree([5] * 8)), 5)
+    @staticmethod
+    def _path5(k):
+        return T.subdivide_for(T.parse_tree(path_tree([5] * k)), 5)
+
+    @staticmethod
+    def _count_calls(monkeypatch, t):
         calls = []
         real = C.upper_bound_exists
 
@@ -167,8 +185,23 @@ class TestBuckets:
             calls.append(1)
             return real(c1, c2, tree)
 
-        monkeypatch.setattr(C, "upper_bound_exists", counted)
-        c1, c2 = C.count_critical_cells(t, 5)
+        with monkeypatch.context() as patch:
+            patch.setattr(C, "upper_bound_exists", counted)
+            counts = C.count_critical_cells(t, 5)
+        return counts, len(calls)
+
+    def test_count_calls_bounded(self, monkeypatch):
+        # at most one call per (cell, direction, y0), against one per
+        # pair of cells (692 440 on this tree) for the pairwise loop
+        t = self._path5(8)
+        (c1, c2), calls = self._count_calls(monkeypatch, t)
         assert (c1, c2) == (1240, 7728)
         max_degree = max(t.degree(v) for v in range(len(t)))
-        assert len(calls) <= c1 * max_degree * (5 + 1)
+        assert calls <= c1 * max_degree * (5 + 1)
+
+    def test_count_calls_independent_of_vertex_count(self, monkeypatch):
+        # decisions are made per (degree, alpha, y0), not per vertex
+        (_, c2_8), calls_8 = self._count_calls(monkeypatch, self._path5(8))
+        (_, c2_16), calls_16 = self._count_calls(monkeypatch, self._path5(16))
+        assert (c2_8, c2_16) == (7728, 33120)
+        assert calls_16 <= calls_8
