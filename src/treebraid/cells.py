@@ -1,6 +1,6 @@
 """
 Reduced and critical 1-cells of the discretized configuration space
-UD_nT, upper bounds of pairs, and Morse-theoretic Betti counts.
+UD_nT, upper bounds of pairs, and Betti counts from the CUB quotient.
 
 A reduced 1-cell is written (a, d, x) where a is an essential vertex, d
 a direction at a with d >= 1, and x the a-vector: x[i] counts strands in
@@ -15,6 +15,7 @@ disjoint.
 
 from __future__ import annotations
 
+from itertools import permutations
 from math import comb
 from typing import NamedTuple
 
@@ -266,23 +267,19 @@ def lub_is_critical(c1, c2, t):
 
 def template_joins(t, n, template, decide):
     """(cells, joins): cells = stamp(t, n, template), and joins a
-    generator of (i, positions, bucket), one for every vertex a and
-    every bucket: the indices of the cells over vertices b > a that
-    share one alpha = direction(a, b) and one y0 = x[0].  i is the index
-    of a's first cell; the pairs kept are (i + p, j) for p in positions
-    and j in bucket.  Each pair of cells over distinct vertices lies in
-    exactly one bucket, seen from its smaller vertex (pairs over one
-    vertex never have an upper bound).
+    generator of (i, positions, bucket), one per vertex a and bucket:
+    the indices of the cells over vertices b > a with one alpha =
+    direction(a, b) and one y0 = x[0].  i is the index of a's first
+    cell, and the pairs kept are (i + p, j) for p in positions and j in
+    bucket; each pair of cells over distinct vertices is in one bucket.
 
     positions are the template positions p with decide(cells[i + p],
-    cells[bucket[0]]) true.  The Upper Bound Lemma makes
-    upper_bound_exists, and lub_is_critical and m_cup_adjacent on
-    critical cells, depend on the first cell only through (d, x) and
-    alpha and on the second only through y0; decide must do the same.
-    So positions are kept per (degree of a, alpha, y0) within the call,
-    and decide is called once per such key and template position,
-    whatever the number of vertices.  Buckets are built per vertex a,
-    so no more than one vertex's buckets are held at a time.
+    cells[bucket[0]]) true, so decide must read the first cell only
+    through (d, x) and alpha and the second only through y0, as the
+    Upper Bound Lemma lets upper_bound_exists, and lub_is_critical and
+    m_cup_adjacent on critical cells, do.  It is called once per (degree
+    of a, alpha, y0) and template position, whatever the number of
+    vertices.  Buckets are held for one vertex a at a time.
     """
     cells = stamp(t, n, template)
 
@@ -314,27 +311,43 @@ def template_joins(t, n, template, decide):
 
 
 def count_critical_cells(t, n):
-    """(number of critical 1-cells, number of critical 2-cells); these
-    are the Betti numbers b_1, b_2 of B_nT.
+    """(b_1, b_2) of B_nT, the numbers of critical 1- and 2-cells, read
+    from the tree: b_1 is the sum of Y_n(deg a) over the essential
+    vertices a, and b_2 the sum over joined keys of cub_quotient of the
+    product of their sizes.  Requires t subdivided for n+2 strands."""
+    if not _tree.is_sufficiently_subdivided(t, n + 2):
+        raise ValueError("tree is not sufficiently subdivided for n+2 strands")
+    sizes, joins = cub_quotient(t, n)
+    b1 = sum(radial_rank(n, t.degree(a)) for a in _tree.essential_vertices(t))
+    return b1, sum(sizes[p] * sizes[q] for p in joins for q in joins[p]) // 2
 
-    A critical 2-cell is the critical least upper bound of two critical
-    1-cells.  template_joins decides each (degree, alpha, y0) once, and
-    b_2 is the sum of len(positions) * len(bucket) over its joins, so
-    no pair of cells is visited.
-    """
-    def decide(c1, c2):
-        return upper_bound_exists(c1, c2, t) and lub_is_critical(c1, c2, t)
 
-    cells, joins = template_joins(
-        t, n, lambda deg: degree_template(n, deg, critical=True), decide)
-    return len(cells), sum(len(ps) * len(bucket) for _, ps, bucket in joins)
+def cub_quotient(t, n):
+    """(sizes, joins): the CUB (cup-upper-bound) rule on the tree.  A
+    key (a, delta, k) is an essential vertex a, a direction delta from
+    a that holds another essential vertex, and 2 <= k <= n - 2; sizes
+    maps it to Y_{n-k}(deg a) - Y_{n-k-1}(deg a), the number of cells at
+    a with CUB number k toward delta, and joins to the keys (b, epsilon,
+    l) with b != a, direction(a, b) = delta, direction(b, a) = epsilon
+    and k + l >= n.  The joined pairs of cells number b_2, and for n <=
+    5 the keys are the twin classes of Delta, joined as joins says
+    (source paper; Farley-Sabalka, JPAA 212 (2008))."""
+    joins = {}
+    for a, b in permutations(_tree.essential_vertices(t), 2):
+        alpha, beta = t.directions(a)[b], t.directions(b)[a]
+        for k in range(2, n - 1):
+            joins.setdefault((a, alpha, k), []).extend(
+                (b, beta, l) for l in range(n - k, n - 1))
+    sizes = {(a, delta, k): radial_rank(n - k, t.degree(a))
+             - radial_rank(n - k - 1, t.degree(a)) for a, delta, k in joins}
+    return sizes, joins
 
 
 def radial_rank(n, x):
     """Y_n(x): the first Betti number of B_n of a radial tree whose
-    essential vertex has degree x (a free group of this rank)."""
-    if n < 2 or x < 3:
-        raise ValueError("radial_rank requires n >= 2 and x >= 3")
+    essential vertex has degree x (free of this rank; 0 when n = 1)."""
+    if n < 1 or x < 3:
+        raise ValueError("radial_rank requires n >= 1 and x >= 3")
     return sum(
         comb(n + x - 2, n - 1) - comb(n + x - i - 1, n - 1)
         for i in range(2, x))

@@ -76,8 +76,11 @@ def cmd_radial_rank(args):
 
 
 def cmd_delta(args):
-    t = _tree.subdivide_for(_load_tree(args.tree), args.n)
-    dg = _delta.build_delta(t, args.n)
+    try:
+        dg = _delta.build_delta(
+            _tree.subdivide_for(_load_tree(args.tree), args.n), args.n)
+    except ValueError as exc:
+        return _fail(str(exc))
     if args.format == "dot":
         print(dg.to_dot())
     else:

@@ -1,8 +1,8 @@
 """
 The simplicial complex Delta carrying the exterior-face-algebra
-structure of H*(B_nT), the CUB table of its vertices, the neighborhood
-hierarchy, reconstruction of the defining tree from Delta, strand-count
-detection, and the isomorphism decision for n in {4, 5}.
+structure of H*(B_nT), built from its twin quotient cells.cub_quotient;
+the neighborhood hierarchy, reconstruction of the defining tree from
+Delta, strand-count detection, and the isomorphism decision, n in {4, 5}.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from itertools import combinations
-from typing import NamedTuple
 
 from . import cells as _cells
 from . import forms as _forms
@@ -48,8 +47,8 @@ class DeltaGraph:
                 raise ValueError("bad edge %r"
                                  % (sorted(pair if len(pair) != 2 else e),))
             i, j = e
-            if not (isinstance(i, int) and 0 <= i < num_vertices
-                    and isinstance(j, int) and 0 <= j < num_vertices):
+            if not (type(i) is int and 0 <= i < num_vertices
+                    and type(j) is int and 0 <= j < num_vertices):
                 raise ValueError("bad edge %r" % (sorted(e),))
             nb[i].append(j)
             nb[j].append(i)
@@ -62,6 +61,13 @@ class DeltaGraph:
         self.cells = list(cells) if cells is not None else None
         self.n = n
         self._hierarchy = None  # built by hierarchy() on first use
+
+    @classmethod
+    def from_quotient(cls, num_vertices, classes, ns, cells=None, n=None):
+        """Trusted twin classes and class joins: nothing is checked."""
+        self = cls(num_vertices, (), cells=cells, n=n)
+        self.classes, self.ns = classes, ns
+        return self
 
     @property
     def edges(self):
@@ -85,7 +91,7 @@ class DeltaGraph:
     def from_json(cls, obj):
         verts = obj["vertices"]
         ids = [v["id"] for v in verts]
-        if sorted(ids) != list(range(len(ids))):
+        if sorted(ids) != list(range(len(ids))) or bool in map(type, ids):
             raise ValueError("vertex ids must be 0..m-1")
         cells = [None] * len(ids)
         for v in verts:
@@ -147,64 +153,50 @@ def m_cup_adjacent(c, cp, t, n):
     return s_critical
 
 
+def cub_label(c, n):
+    """(delta, k): the direction of a critical cell c (n <= 5) with CUB
+    number k = x[delta] - cup_constant(c, delta, n) >= 2, or ().  Of a
+    Type I or II cell's two, dir1 < dir2, Type I takes dir1, II dir2."""
+    dirs = [i for i, v in enumerate(c.x) if v >= 2]  # cup_constant >= 0
+    kind = len(dirs) == 2 and _forms.classify_exceptional(c, n)
+    if kind in ("I", "II"):
+        dirs = [dirs[0 if kind == "I" else 1]]
+    for delta in dirs:
+        k = c.x[delta] - cup_constant(c, delta, n)
+        if k >= 2:
+            return delta, k
+    return ()
+
+
 def build_delta(t, n):
-    """Delta for (t, n): one vertex per critical 1-cell (in <_r order),
-    edges the pairs whose M-classes cup nontrivially.
+    """Delta for (t, n), n <= 5: one vertex per critical 1-cell (in <_r
+    order), edges the pairs whose M-classes cup nontrivially.
 
     The critical template of each degree is put in <_r order once
     (ROrder.template) and stamped at every vertex; <_r sorts by vertex
-    first, so this is the order of ROrder(t, n).critical.
-    template_joins decides m_cup_adjacent once per (degree, alpha, y0).
+    first, so this is the order of ROrder(t, n).critical.  The cells at
+    a labelled (delta, k) by cub_label, once per (d, x), form the twin
+    class (a, delta, k) of cells.cub_quotient; the others are isolated.
+    n >= 6 raises ValueError: a cell can have two CUB directions.
     """
-    crit, joins = _cells.template_joins(
-        t, n, lambda deg: _forms.ROrder.template(n, deg, critical=True),
-        lambda c, cp: m_cup_adjacent(c, cp, t, n))
-    edges = ((i + p, j) for i, ps, bucket in joins
-             for p in ps for j in bucket)
-    return DeltaGraph(len(crit), edges, cells=crit, n=n)
-
-
-# ---------------------------------------------------------------------------
-# CUB data
-
-
-class CubData(NamedTuple):
-    direction: int        # d_c
-    number: int           # CUB(c)
-    constant: int         # epsilon_c = epsilon_c(d_c)
-
-
-def cub_table(delta, t, n):
-    """cell -> CubData for every cell of delta (built on t) with a
-    nonempty neighborhood.  Raises ValueError when the neighbors of a
-    cell do not all lie in one direction from it."""
-    cls = {v: k for k, members in enumerate(delta.classes) for v in members}
-    out = {}
-    for i, c in enumerate(delta.cells):
-        if i not in cls:
-            continue
-        dirs = {_tree.direction(t, c.a, delta.cells[j].a)
-                for k in delta.ns[cls[i]] for j in delta.classes[k]}
-        if len(dirs) != 1:
-            raise ValueError("CUB direction is not unique: %r"
-                             % (sorted(dirs),))
-        d_c = dirs.pop()
-        eps = cup_constant(c, d_c, n)
-        out[c] = CubData(d_c, c.x[d_c] - eps, eps)
-    return out
-
-
-def neighborhood_structure_test(c, cp, t, n, data_c, data_cp):
-    """Structural adjacency test: distinct vertices, each lying in the
-    other's CUB direction, and CUB(c) + CUB(c') >= n.  data_c and
-    data_cp are the cells' cub_table entries.  Agrees with
-    m_cup_adjacent whenever both neighborhoods are nonempty."""
-    if data_c is None or data_cp is None:
-        raise ValueError("both cells must have nonempty neighborhoods")
-    return (c.a != cp.a
-            and _tree.direction(t, c.a, cp.a) == data_c.direction
-            and _tree.direction(t, cp.a, c.a) == data_cp.direction
-            and data_c.number + data_cp.number >= n)
+    if n > 5:
+        raise ValueError("Delta is built for n <= 5 only")
+    crit = _cells.stamp(
+        t, n, lambda deg: _forms.ROrder.template(n, deg, critical=True))
+    _, joins = _cells.cub_quotient(t, n)
+    labels, members = {}, defaultdict(list)
+    for i, c in enumerate(crit):
+        if (c.d, c.x) not in labels:
+            labels[c.d, c.x] = cub_label(c, n)
+        key = (c.a, *labels[c.d, c.x])
+        if key in joins:  # every key of joins has a partner
+            members[key].append(i)
+    # members is in order of least member; its keys are the classes
+    cls = {key: j for j, key in enumerate(members)}
+    return DeltaGraph.from_quotient(
+        len(crit), list(members.values()),
+        [frozenset(cls[q] for q in joins[key]) for key in members],
+        cells=crit, n=n)
 
 
 # ---------------------------------------------------------------------------

@@ -331,30 +331,22 @@ class ROrder:
     """Total order <_r on all non-extraneous reduced 1-cells.
 
     cells lists them as ROrder.sort orders them, stamped from the
-    per-degree templates of ROrder.template.  ri indexes all cells,
-    si the critical ones, ti the noncritical ones (all 0-based).
-    critical_runs cuts the critical cells into maximal runs of equal
-    (a, x[0]); <_r sorts by a and then by -x[0], so the runs concatenate
-    to critical.
+    per-degree templates of ROrder.template, and ri indexes them
+    (0-based); critical is the critical subsequence.  critical_runs
+    cuts the critical cells into maximal runs of equal (a, x[0]); <_r
+    sorts by a and then by -x[0], so the runs concatenate to critical.
     """
 
     def __init__(self, t, n):
-        self.tree = t
-        self.n = n
         cells = _cells.stamp(t, n, lambda deg: self.template(n, deg))
         self.cells = cells
         self.ri = {c: i for i, c in enumerate(cells)}
         self.critical = _cells.stamp(
             t, n, lambda deg: self.template(n, deg, critical=True))
-        self.si = {c: i for i, c in enumerate(self.critical)}
-        self.noncritical = [c for c in cells if c not in self.si]
-        self.ti = {c: i for i, c in enumerate(self.noncritical)}
         self.critical_runs = [
             list(run) for _, run in
             groupby(self.critical, key=lambda c: (c.a, c.x[0]))]
         self.rm = len(cells)
-        self.sm = len(self.critical)
-        self.tm = len(self.noncritical)
 
     @staticmethod
     def key(c):

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
 
-from treebraid import delta as D, tree as T
+from treebraid import cells as C, delta as D, tree as T
 
 DEGREES = (3, 4, 5)
 
@@ -65,6 +65,42 @@ def count_hierarchies(monkeypatch):
 
     monkeypatch.setattr(D.Hierarchy, "__init__", counting)
     return built
+
+
+def twin_classes(edges):
+    """The groups of vertices with equal nonempty neighborhoods, sorted,
+    ordered by least member."""
+    nb = {}
+    for e in edges:
+        i, j = e
+        nb.setdefault(i, set()).add(j)
+        nb.setdefault(j, set()).add(i)
+    groups = {}
+    for v in sorted(nb):
+        groups.setdefault(frozenset(nb[v]), []).append(v)
+    return sorted(groups.values())
+
+
+def check_closed_quotient(t, n, cells, edges):
+    """Assert that cells.cub_quotient(t, n) is the twin quotient of the
+    graph with vertices 0..len(cells)-1, vertex i labelled cells[i], and
+    these index-pair edges: the cells whose delta.cub_label names one key
+    are one twin class, as many as the key's size; the class edges are
+    the key joins; and the other b_1 - (sum of sizes) cells are
+    isolated."""
+    sizes, joins = C.cub_quotient(t, n)
+    classes = {}
+    for i, c in enumerate(cells):
+        key = (c.a, *D.cub_label(c, n))
+        if key in sizes:
+            classes.setdefault(key, []).append(i)
+    assert {key: len(members) for key, members in classes.items()} == sizes
+    assert sorted(classes.values()) == twin_classes(edges)
+    key_of = {i: key for key, members in classes.items() for i in members}
+    assert ({frozenset(key_of[i] for i in e) for e in edges}
+            == {frozenset((p, q)) for p in joins for q in joins[p]})
+    isolated = len(cells) - len({i for e in edges for i in e})
+    assert isolated == len(cells) - sum(sizes.values())
 
 
 def build_corpus():

@@ -83,9 +83,21 @@ def test_criterion_02_counting_identities(store):
             t = store.ts(s, n)
             ess = T.essential_vertices(t)
             c1, _ = C.count_critical_cells(t, n)
-            assert c1 == sum(C.radial_rank(n, t.degree(a)) for a in ess)
-            dg = store.delta(s, n)
-            cub = D.cub_table(dg, t, n)
+            dg = store.delta(s, n)  # its vertices are the stamped cells
+            assert c1 == dg.num_vertices == sum(
+                C.radial_rank(n, t.degree(a)) for a in ess)
+            # the cells labelled (a, d, k) by cub_label, against the
+            # refined count and the sizes of the closed quotient
+            keys = [(c.a, *D.cub_label(c, n)) for c in dg.cells]
+            sizes, _ = C.cub_quotient(t, n)
+
+            def refined(a, d):
+                for k in range(2, n - 1):
+                    got = sum(1 for key in keys
+                              if key[:2] == (a, d) and key[2] >= k)
+                    assert got == C.radial_rank(n - k, t.degree(a))
+                    assert got == sum(sizes[a, d, j] for j in range(k, n - 1))
+
             for a in ess:
                 for d in range(1, t.degree(a)):
                     child = t.children[a][d - 1]
@@ -93,23 +105,13 @@ def test_criterion_02_counting_identities(store):
                         t.in_subtree(child, b) for b in ess if b != a)
                     if not has_ess:
                         continue
-                    for k in range(2, n - 1):
-                        got = sum(
-                            1 for c, data in cub.items()
-                            if c.a == a and data.direction == d
-                            and data.number >= k)
-                        assert got == C.radial_rank(n - k, t.degree(a))
-                        checked += 1
+                    refined(a, d)
+                    checked += n - 3
                 # toward the basepoint side (direction 0): essential
                 # vertices not below a
                 if any(not t.in_subtree(a, b) for b in ess if b != a):
-                    for k in range(2, n - 1):
-                        got = sum(
-                            1 for c, data in cub.items()
-                            if c.a == a and data.direction == 0
-                            and data.number >= k)
-                        assert got == C.radial_rank(n - k, t.degree(a))
-                        checked += 1
+                    refined(a, 0)
+                    checked += n - 3
     dt = time.time() - t0
     _report(2, dt < 60, "%d refined counts on %d trees, %.1fs"
             % (checked, len(CORPUS), dt))
@@ -238,7 +240,6 @@ def test_criterion_09_cross_characterization(store):
     for s in CORPUS:
         for n in (4, 5):
             t = store.ts(s, n)
-            dg = store.delta(s, n)
             order = store.order(s, n)
             _, _, m = store.matrices(s, n) if n == 5 else \
                 F.build_M(t, n, order)
@@ -248,7 +249,9 @@ def test_criterion_09_cross_characterization(store):
                 col = m[order.ri[c]]
                 terms[c] = [order.cells[i]
                             for i in range(order.rm) if col >> i & 1]
-            cub = D.cub_table(dg, t, n)
+            _, joins = C.cub_quotient(t, n)
+            joined = {key: set(others) for key, others in joins.items()}
+            keys = {c: (c.a, *D.cub_label(c, n)) for c in crit}
             nf_cache = {}
 
             def nf(u, v):
@@ -265,9 +268,8 @@ def test_criterion_09_cross_characterization(store):
                         for v in terms[c2]:
                             acc ^= nf(u, v)
                     assert adj == bool(acc), (s, n, c1, c2)
-                    if c1 in cub and c2 in cub:
-                        assert adj == D.neighborhood_structure_test(
-                            c1, c2, t, n, cub[c1], cub[c2]), (s, n, c1, c2)
+                    assert adj == (keys[c2] in joined.get(keys[c1], ())), \
+                        (s, n, c1, c2)
                     pairs += 1
     dt = time.time() - t0
     _report(9, True, "%d critical pairs, %.1fs" % (pairs, dt))

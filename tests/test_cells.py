@@ -119,6 +119,7 @@ class TestCounting:
         t = T.subdivide_for(T.parse_tree(radial_tree(deg)), n)
         c1, c2 = C.count_critical_cells(t, n)
         assert c1 == C.radial_rank(n, deg)
+        assert c1 == len(C.degree_template(n, deg, critical=True))
         assert c2 == 0
 
     def test_counts_sum_over_vertices(self, corpus):
@@ -130,6 +131,8 @@ class TestCounting:
                 assert c1 == sum(
                     C.radial_rank(n, t.degree(a))
                     for a in T.essential_vertices(t))
+                assert c1 == sum(map(C.is_critical,
+                                     C.enumerate_reduced_1cells(t, n)))
 
     @given(st.integers(2, 7), st.integers(3, 9))
     @settings(max_examples=40)

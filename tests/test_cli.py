@@ -29,6 +29,9 @@ class TestVerbs:
     def test_radial_rank(self, capsys):
         code, out, _ = run(capsys, "radial-rank", "--n", "5", "--degree", "5")
         assert (code, out.strip()) == (0, "155")
+        # one strand: B_1 of a tree is trivial
+        code, out, _ = run(capsys, "radial-rank", "--n", "1", "--degree", "4")
+        assert (code, out.strip()) == (0, "0")
 
     def test_subdivide(self, capsys, tmin_file):
         code, out, _ = run(capsys, "subdivide", tmin_file, "--n", "4")
@@ -231,6 +234,27 @@ class TestErrors:
         code, out, err = run(capsys, "reconstruct", "--delta", str(p))
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot read delta") and "bad edge" in err
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"vertices": [{"id": 0}, {"id": 1}, {"id": 2}],
+          "edges": [[True, 2], [0, 2]]}, "bad edge"),
+        ({"vertices": [{"id": 0}, {"id": True}], "edges": []}, "vertex ids"),
+    ])
+    def test_bool_id_exit_2(self, capsys, tmp_path, obj, message):
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps(obj))
+        for argv in (["reconstruct", "--delta", str(p), "--n", "4"],
+                     ["detect-n", "--delta", str(p)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: cannot read delta") and message in err
+
+    @pytest.mark.parametrize("n, message", [("1", "n must be >= 2"),
+                                            ("6", "n <= 5")])
+    def test_delta_bad_n_exit_2(self, capsys, tmin_file, n, message):
+        code, out, err = run(capsys, "delta", tmin_file, "--n", n)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
 
     def test_module_entry_point_quiet(self):
         src = Path(__file__).resolve().parent.parent / "src"

@@ -4,12 +4,12 @@ import tracemalloc
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from treebraid import cells as C, delta as D, tree as T
+from treebraid import cells as C, delta as D, forms as F, tree as T
 
-from conftest import (CORPUS, T_MIN, count_hierarchies, path_tree,
-                      radial_tree, star_tree)
+from conftest import (CORPUS, T_MIN, check_closed_quotient, count_hierarchies,
+                      path_tree, radial_tree, star_tree)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,12 @@ class TestBuild:
         dg = D.build_delta(t, 4)
         assert dg.num_vertices == 26 and not dg.edges
 
+    def test_refuses_n_above_5(self):
+        # a critical cell can have two CUB directions at n = 6
+        t = T.subdivide_for(T.parse_tree(path_tree([3, 3])), 6)
+        with pytest.raises(ValueError, match="n <= 5"):
+            D.build_delta(t, 6)
+
     def test_adjacency_symmetric_irreflexive(self, tmin5):
         t, dg = tmin5
         for c in dg.cells[:15]:
@@ -63,56 +69,60 @@ class TestCupConstant:
             assert D.cup_constant(c, c.d, 5) == 0
 
 
+def _keys(dg, n):
+    """The key (a, delta, k) of each vertex of dg, or (a,) when its cell
+    has no CUB label."""
+    return [(c.a, *D.cub_label(c, n)) for c in dg.cells]
+
+
 class TestCubData:
     @pytest.mark.parametrize("n", [4, 5])
     def test_range_and_direction(self, n, tmin4, tmin5):
         t, dg = tmin4 if n == 4 else tmin5
-        from treebraid import forms as F
-        cub = D.cub_table(dg, t, n)
-        for c in dg.cells:
-            data = cub.get(c)
-            if data is None:
+        keys = _keys(dg, n)
+        cls = {v: k for k, members in enumerate(dg.classes) for v in members}
+        for i, c in enumerate(dg.cells):
+            if len(keys[i]) == 1:
+                assert i not in cls  # no label, no neighbor
                 continue
-            assert 2 <= data.number <= n - 2
-            assert 0 <= data.direction < t.degree(c.a)
+            _, delta, k = keys[i]
+            assert 2 <= k <= n - 2
+            assert 0 <= delta < t.degree(c.a)
             if F.classify_exceptional(c, n) == "I":
-                assert data.number == 2
+                assert k == 2
+            if i in cls:  # every neighbor lies in the CUB direction
+                for j in dg.ns[cls[i]]:
+                    for v in dg.classes[j]:
+                        assert T.direction(t, c.a, dg.cells[v].a) == delta
 
     def test_structure_test_matches(self, tmin5):
+        # the quotient join decides every pair, whether or not a
+        # neighborhood is empty
         t, dg = tmin5
-        data = D.cub_table(dg, t, 5)
+        keys = _keys(dg, 5)
+        _, joins = C.cub_quotient(t, 5)
         for i, c in enumerate(dg.cells):
-            for cp in dg.cells[i + 1:]:
-                if c not in data or cp not in data:
-                    continue
-                assert (D.neighborhood_structure_test(
-                    c, cp, t, 5, data[c], data[cp])
-                    == D.m_cup_adjacent(c, cp, t, 5))
+            for j in range(i + 1, dg.num_vertices):
+                assert ((keys[j] in joins.get(keys[i], ()))
+                        == D.m_cup_adjacent(c, dg.cells[j], t, 5))
 
     def test_equal_neighborhoods_characterized(self, tmin5):
         t, dg = tmin5
         cls = {v: k for k, members in enumerate(dg.classes) for v in members}
-        data = D.cub_table(dg, t, 5)
-        for i, c in enumerate(dg.cells):
-            for j in range(i + 1, dg.num_vertices):
-                cp = dg.cells[j]
-                if i not in cls or j not in cls:
-                    continue
-                same = (c.a == cp.a
-                        and data[c].direction == data[cp].direction
-                        and data[c].number == data[cp].number)
-                assert (cls[i] == cls[j]) == same
+        keys = _keys(dg, 5)
+        for i in cls:
+            for j in cls:
+                assert (cls[i] == cls[j]) == (keys[i] == keys[j])
 
     def test_maximal_neighborhoods_extremal(self, tmin5):
         t, dg = tmin5
-        cub = D.cub_table(dg, t, 5)
+        keys = _keys(dg, 5)
         for k, members in enumerate(dg.classes):
             if any(dg.ns[k] < other for other in dg.ns):
                 continue
             for i in members:
-                c = dg.cells[i]
-                assert T.is_extremal(t, c.a)
-                assert cub[c].number == 5 - 2
+                assert T.is_extremal(t, dg.cells[i].a)
+                assert keys[i][2] == 5 - 2
 
 
 @st.composite
@@ -122,7 +132,42 @@ def _graphs(draw):
     return m, draw(st.sets(st.sampled_from(pairs))) if pairs else set()
 
 
+@st.composite
+def _trees(draw):
+    """Plane trees with 1 to 6 essential vertices of degrees 3 to 7: each
+    vertex after the first takes a leaf slot of an earlier one."""
+    degs = draw(st.lists(st.integers(3, 7), min_size=1, max_size=6))
+    kids = [[None] * (d - 1) for d in degs]  # None is a leaf
+    for v in range(1, len(degs)):
+        p, i = draw(st.sampled_from([(p, i) for p in range(v)
+                                     for i, u in enumerate(kids[p])
+                                     if u is None]))
+        kids[p][i] = v
+
+    def emit(v):
+        return "(" + "".join("()" if u is None else emit(u)
+                             for u in kids[v]) + ")"
+
+    return "(" + emit(0) + ")"
+
+
 class TestQuotient:
+    @given(_trees(), st.sampled_from([4, 5]))
+    @settings(max_examples=100, deadline=None)
+    def test_closed_quotient_matches_joins(self, text, n):
+        # the reference decides m_cup_adjacent through template_joins
+        t = T.subdivide_for(T.parse_tree(text), n)
+        crit, joins = C.template_joins(
+            t, n, lambda deg: F.ROrder.template(n, deg, critical=True),
+            lambda c, cp: D.m_cup_adjacent(c, cp, t, n))
+        edges = {frozenset((i + p, j)) for i, ps, bucket in joins
+                 for p in ps for j in bucket}
+        dg = D.build_delta(t, n)
+        assert dg.cells == crit
+        assert dg.edges == edges
+        assert C.count_critical_cells(t, n) == (len(crit), len(edges))
+        check_closed_quotient(t, n, crit, edges)
+
     @given(_graphs())
     def test_blow_up_is_the_graph(self, graph):
         m, edges = graph
@@ -165,7 +210,6 @@ class TestQuotient:
         assert D.detect_n(dg) == 5
         assert D.hierarchy_to_dot(dg, pruned=True, n=5).startswith("graph H")
         assert D.decide_isomorphic(dg, dg)
-        assert D.cub_table(dg, t, 5)
 
 
 class TestHierarchy:
@@ -438,12 +482,21 @@ class TestSerialization:
     def test_bad_ids_rejected(self):
         with pytest.raises(ValueError):
             D.DeltaGraph.from_json({"vertices": [{"id": 1}], "edges": []})
+        # JSON true is no vertex id, although True == 1
+        with pytest.raises(ValueError, match="vertex ids"):
+            D.DeltaGraph.from_json(
+                {"vertices": [{"id": 0}, {"id": True}], "edges": []})
 
     def test_bad_edge_rejected(self):
+        # bool is an int subclass, but JSON true and false are no ids
         for edge in [(0, 5), (0, 0), (0, 1, 2), (0, 0.5), (0.0, 1.0),
-                     [0, 1, 0], [1, 0, 1, 1]]:
+                     [0, 1, 0], [1, 0, 1, 1], [True, 0], [False, 1]]:
             with pytest.raises(ValueError, match="bad edge"):
                 D.DeltaGraph(2, [edge])
+        with pytest.raises(ValueError, match="bad edge"):
+            D.DeltaGraph.from_json(
+                {"vertices": [{"id": 0}, {"id": 1}, {"id": 2}],
+                 "edges": [[True, 2], [0, 2]]})
 
     def test_dot_outputs(self, tmin4):
         t, dg = tmin4

@@ -141,8 +141,11 @@ class TestROrder:
     def test_partition(self, mixed5):
         t, _ = mixed5
         order = F.ROrder(t, 5)
-        assert order.rm == order.sm + order.tm
+        assert order.rm == len(order.cells) == len(set(order.cells))
         assert sorted(order.ri.values()) == list(range(order.rm))
+        # critical and the noncritical rest split cells
+        assert order.critical == [c for c in order.cells if C.is_critical(c)]
+        assert 0 < len(order.critical) < order.rm
 
     def test_type_ii_precedes_type_i(self, mixed5):
         t, _ = mixed5

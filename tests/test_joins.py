@@ -1,23 +1,26 @@
-"""The Upper-Bound-Lemma joins against the pairwise loops they replace.
+"""The closed CUB quotient and the Upper-Bound-Lemma joins against
+pairwise loops.
 
-count_critical_cells, build_delta and build_complex_K decide each pair
-of cells over vertices a < b through cells.template_joins: one decision
-per (degree of a, direction from a to b, y0 of the cell over b) and
-template position serves every vertex of that degree.
-necessary_witnesses decides each run of critical cells over a vertex
-b > a with one call, and a critical cell has no witness over b < a.
-The reference functions below test every pair of cells, as the package
-did before the joins; both must give the same counts, the same Delta
-(cells in order, edges and twin classes), the same K, the same
-witnesses and the same M.  per_direction_cells is the enumeration
-before the per-degree templates.
+count_critical_cells and build_delta read Delta's twin quotient from the
+tree (cells.cub_quotient) and visit no pair of cells.  build_complex_K
+decides each pair of cells over vertices a < b through
+cells.template_joins: one decision per (degree of a, direction from a
+to b, y0 of the cell over b) and template position serves every vertex
+of that degree.  necessary_witnesses decides each run of critical cells
+over a vertex b > a with one call, and a critical cell has no witness
+over b < a.  The reference functions below test every pair of cells;
+both sides must give the same counts, the same Delta (cells in order,
+edges, twin classes, and the closed quotient as its twin quotient), the
+same K, the same witnesses and the same M.  per_direction_cells is the
+enumeration without the per-degree templates.
 """
 
 import pytest
 
 from treebraid import cells as C, delta as D, forms as F, tree as T
 
-from conftest import CORPUS, path_tree, star_tree
+from conftest import (CORPUS, check_closed_quotient, path_tree, star_tree,
+                      twin_classes)
 
 TREES = CORPUS + [path_tree([5] * 4), star_tree(5, (5, 5, 5))]
 
@@ -62,20 +65,6 @@ def pairwise_delta(t, n):
     return crit, edges
 
 
-def twin_classes(edges):
-    """The groups of vertices with equal nonempty neighborhoods, sorted,
-    ordered by least member."""
-    nb = {}
-    for e in edges:
-        i, j = e
-        nb.setdefault(i, set()).add(j)
-        nb.setdefault(j, set()).add(i)
-    groups = {}
-    for v in sorted(nb):
-        groups.setdefault(frozenset(nb[v]), []).append(v)
-    return sorted(groups.values())
-
-
 def pairwise_K(t, n):
     cells = C.enumerate_reduced_1cells(t, n)
     edges = set()
@@ -106,6 +95,15 @@ class TestAgainstPairwise:
     def test_count(self, n):
         for t in _subdivided(n):
             assert C.count_critical_cells(t, n) == pairwise_count(t, n)
+        # the closed form holds at every n: n = 4 also runs n = 2 and 3,
+        # n = 5 also n = 6, on the trees with at most three essential
+        # vertices
+        for m in {4: (2, 3), 5: (6,)}[n]:
+            for s in CORPUS:
+                t = T.parse_tree(s)
+                if len(T.essential_vertices(t)) <= 3:
+                    t = T.subdivide_for(t, m)
+                    assert C.count_critical_cells(t, m) == pairwise_count(t, m)
 
     def test_delta(self, n):
         for t in _subdivided(n):
@@ -115,6 +113,7 @@ class TestAgainstPairwise:
             assert dg.num_vertices == len(crit)
             assert dg.edges == edges
             assert dg.classes == twin_classes(edges)
+            check_closed_quotient(t, n, crit, edges)
 
     def test_enumeration(self, n):
         for t in _subdivided(n):
@@ -178,6 +177,8 @@ class TestBuckets:
 
     @staticmethod
     def _count_calls(monkeypatch, t):
+        """(number of vertices of K, number of edges of K), and the
+        number of upper_bound_exists calls build_complex_K made."""
         calls = []
         real = C.upper_bound_exists
 
@@ -187,21 +188,34 @@ class TestBuckets:
 
         with monkeypatch.context() as patch:
             patch.setattr(C, "upper_bound_exists", counted)
-            counts = C.count_critical_cells(t, 5)
-        return counts, len(calls)
+            cells, edges = F.build_complex_K(t, 5)
+        return (len(cells), len(edges)), len(calls)
 
     def test_count_calls_bounded(self, monkeypatch):
         # at most one call per (cell, direction, y0), against one per
-        # pair of cells (692 440 on this tree) for the pairwise loop
+        # pair of cells (2 162 160 on this tree) for the pairwise loop
         t = self._path5(8)
-        (c1, c2), calls = self._count_calls(monkeypatch, t)
-        assert (c1, c2) == (1240, 7728)
+        (cells, edges), calls = self._count_calls(monkeypatch, t)
+        assert (cells, edges) == (2080, 43680)
         max_degree = max(t.degree(v) for v in range(len(t)))
-        assert calls <= c1 * max_degree * (5 + 1)
+        assert calls <= cells * max_degree * (5 + 1)
 
     def test_count_calls_independent_of_vertex_count(self, monkeypatch):
         # decisions are made per (degree, alpha, y0), not per vertex
-        (_, c2_8), calls_8 = self._count_calls(monkeypatch, self._path5(8))
-        (_, c2_16), calls_16 = self._count_calls(monkeypatch, self._path5(16))
-        assert (c2_8, c2_16) == (7728, 33120)
+        (_, edges_8), calls_8 = self._count_calls(monkeypatch, self._path5(8))
+        (_, edges_16), calls_16 = self._count_calls(monkeypatch,
+                                                    self._path5(16))
+        assert (edges_8, edges_16) == (43680, 187200)
         assert calls_16 <= calls_8
+
+    def test_count_and_delta_visit_no_pair(self, monkeypatch):
+        # both read the closed quotient: no pair of cells is decided
+        def boom(*args):
+            raise AssertionError("a pair of cells was decided")
+
+        for module, name in ((C, "template_joins"), (C, "upper_bound_exists"),
+                             (D, "m_cup_adjacent")):
+            monkeypatch.setattr(module, name, boom)
+        t = self._path5(8)
+        assert C.count_critical_cells(t, 5) == (1240, 7728)
+        assert len(D.build_delta(t, 5).edges) == 7728
