@@ -80,13 +80,28 @@ def degree_template(n, deg, critical=False):
     """The (d, x) pairs of the non-extraneous reduced 1-cells at a vertex
     of degree deg (only the critical ones, if critical), in enumeration
     order: by d, then x in the order of _compositions.  Non-extraneous
-    means n - x[0] - x[d] >= 1."""
-    xs = list(_compositions(n, deg))
-    out = [(d, x) for d in range(1, deg) for x in xs
-           if x[d] >= 1 and n - x[0] - x[d] >= 1]
+    means n - x[0] - x[d] >= 1.
+
+    A critical (d, x) has x[d] >= 1 and some x[i] >= 1 with 0 < i < d,
+    which makes it non-extraneous.  So its x is y + e_d for a
+    composition y of n - 1 whose first nonzero entry past 0 lies below
+    d; adding e_d keeps the order of _compositions, and no composition
+    is drawn and dropped.  Each x is one tuple shared by all its d, as
+    in the full template, so stamped cells hold no copy per d.
+    """
     if critical:
-        out = [(d, x) for d, x in out if is_critical(ReducedOneCell(0, d, x))]
-    return out
+        ys = list(_compositions(n - 1, deg))
+        first = [next((i for i in range(1, deg) if y[i]), deg) for y in ys]
+        out, xs = [], {}
+        for d in range(2, deg):
+            for y, i in zip(ys, first):
+                if i < d:
+                    x = y[:d] + (y[d] + 1,) + y[d + 1:]
+                    out.append((d, xs.setdefault(x, x)))
+        return out
+    xs = list(_compositions(n, deg))
+    return [(d, x) for d in range(1, deg) for x in xs
+            if x[d] >= 1 and n - x[0] - x[d] >= 1]
 
 
 def stamp(t, n, template):

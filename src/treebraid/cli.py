@@ -40,19 +40,29 @@ def _load_delta(path):
         raise SystemExit(_fail("cannot read delta %r: %s" % (path, exc)))
 
 
+def _load_subdivided(path, n):
+    """The tree at path and its subdivision for n strands (see
+    tree.subdivide_for); an n it refuses exits 2."""
+    t = _load_tree(path)
+    try:
+        return t, _tree.subdivide_for(t, n)
+    except ValueError as exc:
+        raise SystemExit(_fail(str(exc)))
+
+
 def _fail(msg):
     print("error: %s" % msg, file=sys.stderr)
     return 2
 
 
 def cmd_subdivide(args):
-    t = _load_tree(args.tree)
-    print(_tree.to_text(_tree.subdivide_for(t, args.n)))
+    _, t = _load_subdivided(args.tree, args.n)
+    print(_tree.to_text(t))
     return 0
 
 
 def cmd_cells(args):
-    t = _tree.subdivide_for(_load_tree(args.tree), args.n)
+    _, t = _load_subdivided(args.tree, args.n)
     for c in _cells.enumerate_reduced_1cells(t, args.n):
         if args.critical and not _cells.is_critical(c):
             continue
@@ -64,21 +74,24 @@ def cmd_betti(args):
     t = _oracle.subdivide_exact(_load_tree(args.tree), args.n)
     try:
         cx = _oracle.build_complex(t, args.n, max_dim=3)
-    except _oracle.BudgetExceeded as exc:
+    except (_oracle.BudgetExceeded, ValueError) as exc:
         return _fail(str(exc))
     print(" ".join(str(b) for b in _oracle.betti(cx)))
     return 0
 
 
 def cmd_radial_rank(args):
-    print(_cells.radial_rank(args.n, args.degree))
+    try:
+        print(_cells.radial_rank(args.n, args.degree))
+    except ValueError as exc:
+        return _fail(str(exc))
     return 0
 
 
 def cmd_delta(args):
+    _, t = _load_subdivided(args.tree, args.n)
     try:
-        dg = _delta.build_delta(
-            _tree.subdivide_for(_load_tree(args.tree), args.n), args.n)
+        dg = _delta.build_delta(t, args.n)
     except ValueError as exc:
         return _fail(str(exc))
     if args.format == "dot":
@@ -133,7 +146,7 @@ def cmd_iso(args):
 
 
 def cmd_verify(args):
-    t = _load_tree(args.tree)
+    t, _ = _load_subdivided(args.tree, args.n)
     report = {
         "counts": _oracle.verify_morse_counts(t, args.n),
         "coboundary": _oracle.verify_d_equals_delta(
@@ -145,7 +158,7 @@ def cmd_verify(args):
 
 
 def cmd_presentation(args):
-    t = _tree.subdivide_for(_load_tree(args.tree), args.n)
+    _, t = _load_subdivided(args.tree, args.n)
     n = args.n
     kverts, edges = _forms.build_complex_K(t, n)
     index = {c: i for i, c in enumerate(kverts)}

@@ -147,36 +147,48 @@ def differential(form, t, include_extraneous=False):
 
 class OracleIndex:
     """Lookup tables over an oracle complex for coboundary_oracle_check,
-    built once per complex and dropped with it.
+    built once per complex from its int cell keys and dropped with it.
 
-    ones[e]: the 1-cells over edge e.  twos[edges]: the 2-cells whose
-    edges include the frozenset edges (one edge or both).  cofaces[i]:
-    the 2-cells having 1-cell i as a face.  profiles[a][bar, x]: the
-    1-cells whose D-profile (bar False) or D-bar-profile (bar True) at
-    the essential vertex a is x.  All values are lists of cell indices.
+    ones[e]: the 1-cells over edge e.  twos[mask]: the 2-cells whose
+    edge bits (bit 2e+1 for edge e) include mask, the bit of one edge or
+    of both.  cofaces[i]: the 2-cells having 1-cell i as a face.
+    profiles[a][bar, x]: the 1-cells whose D-profile (bar False) or
+    D-bar-profile (bar True) at the essential vertex a is x.  All values
+    are lists of cell indices.
     """
 
     def __init__(self, t, complex_):
-        one_cells, two_cells = complex_.cells_by_dim[1:3]
+        one_keys, two_keys = complex_.keys[1:3]
+        odd = sum(2 << 2 * e for e in t.edges())
         self.ones = {}
-        for i, c in enumerate(one_cells):
-            (e,) = c.edges
+        for i, key in enumerate(one_keys):
+            e = (key & odd).bit_length() // 2 - 1
             self.ones.setdefault(e, []).append(i)
         self.twos = {}
-        for s, c in enumerate(two_cells):
-            e, f = c.edges
-            for key in (frozenset((e,)), frozenset((f,)), c.edges):
-                self.twos.setdefault(key, []).append(s)
-        self.cofaces = [[] for _ in one_cells]
+        for s, key in enumerate(two_keys):
+            both = key & odd
+            low = both & -both
+            for mask in (low, both ^ low, both):
+                self.twos.setdefault(mask, []).append(s)
+        self.cofaces = [[] for _ in one_keys]
         for s, faces in enumerate(complex_.faces[2]):
             for f in faces:
                 self.cofaces[f].append(s)
+        # _profile on keys: masks[i] holds the bits of the vertices and
+        # edges that count in direction i, and D_{a,i} is a popcount
         self.profiles = {}
         for a in _tree.essential_vertices(t):
+            dirs = t.directions(a)
             by = self.profiles[a] = {}
-            for i, c in enumerate(one_cells):
-                for bar in (False, True):
-                    by.setdefault((bar, _profile(t, a, c, bar)), []).append(i)
+            for bar in (False, True):
+                masks = [0] * t.degree(a)
+                for v, i in enumerate(dirs):
+                    masks[i] |= 1 << 2 * v
+                for e in t.edges():
+                    masks[dirs[t.parent[e] if bar else e]] |= 2 << 2 * e
+                for i, key in enumerate(one_keys):
+                    prof = tuple(map(int.bit_count, map(key.__and__, masks)))
+                    by.setdefault((bar, prof), []).append(i)
 
 
 def coboundary_oracle_check(form, t, complex_, index):
@@ -205,9 +217,11 @@ def coboundary_oracle_check(form, t, complex_, index):
             delta.symmetric_difference_update(index.cofaces[i])
     d = set()
     for term in differential(form, t, include_extraneous=True).terms:
-        edges = frozenset(t.children[c.a][c.d - 1] for c in term.factors)
+        mask = 0
+        for c in term.factors:
+            mask |= 2 << 2 * t.children[c.a][c.d - 1]
         d.symmetric_difference_update(
-            s for s in index.twos.get(edges, ())
+            s for s in index.twos.get(mask, ())
             if eval_form(term, two_cells[s], t))
     return d == delta
 

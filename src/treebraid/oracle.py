@@ -4,14 +4,17 @@ and its Z/2 homology.
 
 This is deliberately independent of the Morse-theoretic modules: cells
 are enumerated directly as sets of n pairwise-disjoint closed vertices
-and edges of a subdivided tree, boundary matrices are assembled from the
-face maps (replace each edge by either endpoint), and Betti numbers come
-from GF(2) elimination on int-bitmask columns.  Used to validate the
-critical-cell counts and the d = delta identity.
+and edges of a subdivided tree, each held as an int key, boundary
+matrices are assembled from the face maps (replace each edge by either
+endpoint), and Betti numbers come from GF(2) elimination on int-bitmask
+columns.  A cell is decoded into an ExplicitCell only where it is read
+as one.  Used to validate the critical-cell counts and the d = delta
+identity.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
 from math import comb
 
@@ -30,36 +33,56 @@ class BudgetExceeded(RuntimeError):
 class CubeComplex:
     """Cells of UD_nT by dimension, with face maps.
 
-    cells_by_dim[k] is a list of ExplicitCell; faces[k][i] lists the 2k
-    codim-1 face indices of cell i.  Faces are found by int keys: bit 2v
-    marks an occupied vertex v and bit 2e+1 an occupied edge e, so the
-    face that moves edge e to its endpoint u has key
-    key & ~(1 << 2e+1) | 1 << 2u, looked up in one dict of the
-    dimension below, kept only while that dimension's faces are built.
-    Boundary columns are int bitmasks of face indices.
+    A cell is an int key: bit 2v marks an occupied vertex v and bit
+    2e+1 an occupied edge e.  keys[k] lists the dimension-k cells, and
+    faces[k][i] the 2k codim-1 face indices of cell i (faces[0] is
+    None).  cells_by_dim[k] shows keys[k] as a read-only sequence of
+    ExplicitCell, each decoded when it is read.  Boundary columns are
+    int bitmasks of face indices.
     """
 
-    def __init__(self, t, n, cells_by_dim):
+    def __init__(self, t, n, keys, faces):
         self.tree = t
         self.n = n
-        self.cells_by_dim = cells_by_dim
-        self.faces = [None] * len(cells_by_dim)
-        lower = None  # key -> index of the cells one dimension down
-        for k, cells in enumerate(cells_by_dim):
-            keys = [sum(1 << 2 * v for v in c.vertices)
-                    | sum(2 << 2 * e for e in c.edges) for c in cells]
-            if k:
-                self.faces[k] = [
-                    [lower[key & ~(2 << 2 * e) | 1 << 2 * u]
-                     for e in c.edges for u in (e, t.parent[e])]
-                    for c, key in zip(cells, keys)]
-            lower = {key: i for i, key in enumerate(keys)}
+        self.keys = keys
+        self.faces = faces
+        self.cells_by_dim = [CellView(ks) for ks in keys]
 
     def boundary_columns(self, k):
         """Mod-2 boundary columns of the dimension-k cells, made one at
         a time, as int bitmasks of face indices (faces appearing an even
         number of times cancel)."""
         return map(_column, self.faces[k])
+
+
+def decode_cell(key):
+    """The ExplicitCell whose int key is key (see CubeComplex)."""
+    vertices, edges = [], []
+    while key:
+        low = key & -key
+        bit = low.bit_length() - 1
+        (edges if bit & 1 else vertices).append(bit >> 1)
+        key ^= low
+    return ExplicitCell(frozenset(vertices), frozenset(edges))
+
+
+class CellView(Sequence):
+    """The cells of a list of int keys as a read-only sequence of
+    ExplicitCell.  len reads no key; indexing and iteration decode."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        return decode_cell(self.keys[i])
+
+    def __iter__(self):
+        return map(decode_cell, self.keys)
 
 
 def _column(row):
@@ -89,35 +112,51 @@ def _estimate_cells(t, n, max_dim):
 def build_complex(t, n, max_dim=3, budget=5_000_000):
     """Enumerate all cells of UD_nT up to dimension max_dim.
 
-    t must be sufficiently subdivided for n strands.
+    t must be sufficiently subdivided for n strands.  The cells of
+    dimension k come in blocks, one per set of k edges with pairwise
+    disjoint closures, in the order of combinations of the edges; a
+    block's cells place the other n - k strands on its free vertices in
+    the order of their combinations.  The face that moves edge e of a
+    cell to its endpoint u has key key - (2 << 2e) + (1 << 2u); each
+    cell lists these for e in the block's frozenset of edges and u in
+    (e, parent[e]), looked up in a key -> index dict of the dimension
+    below.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if not _tree.is_sufficiently_subdivided(t, n):
         raise ValueError("tree is not sufficiently subdivided for n strands")
     est = _estimate_cells(t, n, max_dim)
     if est > budget:
         raise BudgetExceeded(est, budget)
-    V = len(t)
-    edges = list(t.edges())
-    cells_by_dim = []
-    for k in range(0, min(max_dim, n) + 1):
+    parent = t.parent
+    top = min(max_dim, n)
+    keys = []
+    faces = [None]
+    lower = None  # key -> index of the cells one dimension down
+    for k in range(top + 1):
         cells = []
-        for esub in combinations(edges, k):
-            blocked = set()
-            ok = True
-            for e in esub:
-                if e in blocked or t.parent[e] in blocked:
-                    ok = False
-                    break
-                blocked.add(e)
-                blocked.add(t.parent[e])
-            if not ok:
+        rows = []
+        for esub in combinations(t.edges(), k):
+            closure = {*esub, *(parent[e] for e in esub)}
+            if len(closure) < 2 * k:
                 continue
-            free = [v for v in range(V) if v not in blocked]
-            eset = frozenset(esub)
-            for vsub in combinations(free, n - k):
-                cells.append(ExplicitCell(frozenset(vsub), eset))
-        cells_by_dim.append(cells)
-    return CubeComplex(t, n, cells_by_dim)
+            free = [1 << 2 * v for v in range(len(t)) if v not in closure]
+            ekey = sum(2 << 2 * e for e in esub)
+            block = list(map(ekey.__add__,
+                             map(sum, combinations(free, n - k))))
+            cells += block
+            if k:
+                rows += map(list, zip(*[
+                    map(lower.__getitem__,
+                        map(((1 << 2 * u) - (2 << 2 * e)).__add__, block))
+                    for e in frozenset(esub) for u in (e, parent[e])]))
+        keys.append(cells)
+        if k:
+            faces.append(rows)
+        if k < top:
+            lower = dict(zip(cells, range(len(cells))))
+    return CubeComplex(t, n, keys, faces)
 
 
 def _rank_gf2(columns):
@@ -139,7 +178,7 @@ def _rank_gf2(columns):
 def _rank_incidence(t_complex):
     """Rank of d_1 (2 entries per column): #0-cells minus #components of
     the 1-skeleton, via union-find."""
-    n0 = len(t_complex.cells_by_dim[0])
+    n0 = len(t_complex.keys[0])
     parent = list(range(n0))
 
     def find(x):
@@ -163,7 +202,7 @@ def betti(complex_):
     Requires the complex built through dimension min(3, n) so that the
     image of d_3 is available for b_2 (d_3 is zero when absent).
     """
-    dims = [len(c) for c in complex_.cells_by_dim]
+    dims = list(map(len, complex_.keys))
     if len(dims) < 2:
         return (1 if dims[0] else 0), 0, 0
     rank1, components = _rank_incidence(complex_)
@@ -177,7 +216,7 @@ def betti(complex_):
 
 def check_dd_zero(complex_):
     """ddc = 0 over Z/2 for every cell of dimension >= 2."""
-    for k in range(2, len(complex_.cells_by_dim)):
+    for k in range(2, len(complex_.faces)):
         lower = complex_.faces[k - 1]
         for row in complex_.faces[k]:
             acc = 0
@@ -210,7 +249,7 @@ def verify_morse_counts(t, n, budget=5_000_000):
         return report
     b0, b1, b2 = betti(cx)
     report["b"] = [b0, b1, b2]
-    report["cells"] = [len(c) for c in cx.cells_by_dim]
+    report["cells"] = list(map(len, cx.keys))
     report["pass"] = (b0 == 1 and b1 == c1 and b2 == c2)
     return report
 

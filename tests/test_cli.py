@@ -256,6 +256,25 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("verb, n, message", [
+        ("subdivide", "1", "n must be >= 2"),
+        ("cells", "1", "n must be >= 2"),
+        ("verify", "1", "n must be >= 2"),
+        ("presentation", "1", "n must be >= 2"),
+        ("betti", "-1", "n must be >= 0"),
+    ])
+    def test_bad_n_exit_2(self, capsys, tmin_file, verb, n, message):
+        code, out, err = run(capsys, verb, tmin_file, "--n", n)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("n, degree", [("0", "3"), ("4", "2")])
+    def test_radial_rank_bad_args_exit_2(self, capsys, n, degree):
+        code, out, err = run(capsys, "radial-rank", "--n", n,
+                             "--degree", degree)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: radial_rank requires")
+
     def test_module_entry_point_quiet(self):
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(

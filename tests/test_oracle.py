@@ -1,12 +1,68 @@
 import random
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treebraid import cells as C, forms as F, oracle as O, tree as T
 from treebraid.cells import ExplicitCell
 
-from conftest import T_MIN, path_tree, radial_tree
+from conftest import CORPUS, T_MIN, path_tree, radial_tree
+
+
+def reference_complex(t, n, max_dim=3):
+    """cells_by_dim as lists of frozenset ExplicitCells: for each set of
+    k edges with pairwise disjoint closures, in combinations order, the
+    cells placing the other n - k strands on the free vertices."""
+    out = []
+    for k in range(0, min(max_dim, n) + 1):
+        cells = []
+        for esub in combinations(t.edges(), k):
+            blocked = set()
+            ok = True
+            for e in esub:
+                if e in blocked or t.parent[e] in blocked:
+                    ok = False
+                    break
+                blocked.add(e)
+                blocked.add(t.parent[e])
+            if not ok:
+                continue
+            free = [v for v in range(len(t)) if v not in blocked]
+            eset = frozenset(esub)
+            for vsub in combinations(free, n - k):
+                cells.append(ExplicitCell(frozenset(vsub), eset))
+        out.append(cells)
+    return out
+
+
+def reference_betti(cells_by_dim, faces):
+    """(b_0, b_1, b_2) from reference_rank of the boundary columns as
+    sets (a face listed twice cancels)."""
+    ranks = [0]
+    for rows in faces[1:]:
+        columns = []
+        for row in rows:
+            col = set()
+            for f in row:
+                col ^= {f}
+            columns.append(col)
+        ranks.append(reference_rank(columns))
+    ranks.append(0)
+    dims = [len(cells) for cells in cells_by_dim]
+    return tuple(dims[k] - ranks[k] - ranks[k + 1] for k in range(3))
+
+
+def check_against_reference(t, n):
+    """The key-built complex decodes to reference_complex cell for cell,
+    and has its faces and Betti numbers."""
+    cx = O.build_complex(t, n, max_dim=3)
+    ref = reference_complex(t, n)
+    assert [list(cells) for cells in cx.cells_by_dim] == ref
+    ref_faces = reference_faces(SimpleNamespace(tree=t, cells_by_dim=ref))
+    assert cx.faces == ref_faces
+    assert O.betti(cx) == reference_betti(ref, ref_faces)
 
 
 def reference_faces(cx):
@@ -55,6 +111,13 @@ def reference_check(form, t, cx):
     return True
 
 
+def decoded(cx):
+    """cx with every cell decoded once, for the scanning references."""
+    return SimpleNamespace(
+        tree=cx.tree, faces=cx.faces,
+        cells_by_dim=[list(cells) for cells in cx.cells_by_dim])
+
+
 def forms_to_check(ts, n, sample, seed):
     """Every basic 0-form, then a seeded sample of basic 1-forms (none
     over a single essential vertex)."""
@@ -97,6 +160,49 @@ class TestComplex:
         t = O.subdivide_exact(T.parse_tree(text), n)
         cx = O.build_complex(t, n, max_dim=3)
         assert cx.faces == reference_faces(cx)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_reference_on_corpus(self, n):
+        # every corpus tree with at most three essential vertices at
+        # n = 2, 3; at n = 4 those with at most one (the three-essential
+        # ones reach a million cells there, too many for the reference)
+        most = 3 if n < 4 else 1
+        for text in CORPUS:
+            t = T.parse_tree(text)
+            if len(T.essential_vertices(t)) <= most:
+                check_against_reference(O.subdivide_exact(t, n), n)
+
+    @given(st.lists(st.integers(0, 5), max_size=5), st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_on_random_trees(self, picks, n):
+        # vertex v + 2 hangs from vertex 1 + picks[v] % (v + 1)
+        kids = [[1], []]
+        for v, p in enumerate(picks):
+            kids[1 + p % (v + 1)].append(len(kids))
+            kids.append([])
+
+        def emit(v):
+            return "(" + "".join(emit(u) for u in kids[v]) + ")"
+
+        check_against_reference(
+            O.subdivide_exact(T.parse_tree(emit(0)), n), n)
+
+    def test_counts_never_decode(self, monkeypatch):
+        def refuse(key):
+            raise AssertionError("decoded cell %d" % key)
+
+        monkeypatch.setattr(O, "decode_cell", refuse)
+        rep = O.verify_morse_counts(T.parse_tree(path_tree([3, 3])), 4)
+        assert rep["pass"] is True
+        t = O.subdivide_exact(T.parse_tree(radial_tree(4)), 4)
+        cx = O.build_complex(t, 4, max_dim=3)
+        assert O.betti(cx) == (1, C.radial_rank(4, 4), 0)
+        assert O.check_dd_zero(cx)
+        assert sum(map(len, cx.cells_by_dim)) == sum(map(len, cx.keys))
+        ts = T.subdivide_for(T.parse_tree(radial_tree(3)), 3)
+        F.OracleIndex(ts, O.build_complex(ts, 3, max_dim=2))
+        with pytest.raises(AssertionError, match="decoded cell"):
+            cx.cells_by_dim[1][0]
 
     def test_budget(self):
         t = O.subdivide_exact(T.parse_tree(T_MIN), 5)
@@ -153,9 +259,10 @@ def test_indexed_check_matches_scan(text, n):
     ts = T.subdivide_for(T.parse_tree(text), n)
     cx = O.build_complex(ts, n, max_dim=2)
     index = F.OracleIndex(ts, cx)
+    scanned = decoded(cx)
     for form in forms_to_check(ts, n, 20, seed=11):
         assert F.coboundary_oracle_check(form, ts, cx, index) \
-            == reference_check(form, ts, cx), form
+            == reference_check(form, ts, scanned), form
 
 
 def test_dropped_term_fails_both(monkeypatch):
@@ -171,6 +278,7 @@ def test_dropped_term_fails_both(monkeypatch):
     forms = F.basic_0forms(C.enumerate_reduced_1cells(ts, 3))
     assert forms
     monkeypatch.setattr(F, "differential", drop_one)
+    scanned = decoded(cx)
     for form in forms:
         assert not F.coboundary_oracle_check(form, ts, cx, index), form
-        assert not reference_check(form, ts, cx), form
+        assert not reference_check(form, ts, scanned), form
