@@ -34,10 +34,6 @@ class ReducedOneCell(NamedTuple):
     def to_json(self):
         return {"a": self.a, "d": self.d, "x": list(self.x)}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(int(obj["a"]), int(obj["d"]), tuple(map(int, obj["x"])))
-
 
 class ExplicitCell(NamedTuple):
     vertices: frozenset

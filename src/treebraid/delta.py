@@ -9,12 +9,27 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from operator import itemgetter
 
 from . import cells as _cells
 from . import forms as _forms
 from . import tree as _tree
 from .cells import ReducedOneCell
+
+
+def _check_edges(edges, num_vertices):
+    """Raise ValueError naming the first edge, in input order, that is not
+    two distinct int ids in 0..num_vertices-1 (bool is no id)."""
+    for e in edges:
+        pair = frozenset(e)
+        if len(pair) != 2 or len(e) != 2:  # [0, 1, 0] is no edge either
+            raise ValueError("bad edge %r"
+                             % (sorted(pair if len(pair) != 2 else e),))
+        i, j = e
+        if not (type(i) is int and 0 <= i < num_vertices
+                and type(j) is int and 0 <= j < num_vertices):
+            raise ValueError("bad edge %r" % (sorted(e),))
 
 
 class Undefined(Exception):
@@ -40,24 +55,36 @@ class DeltaGraph:
 
     def __init__(self, num_vertices, edges, cells=None, n=None):
         self.num_vertices = num_vertices
+        if iter(edges) is edges:  # one-shot: _check_edges may read it again
+            edges = list(edges)
+        # group first, then check the result in bulk; _check_edges, which
+        # names the first bad edge, runs only when a check fails
         nb = defaultdict(list)  # repeats vanish in the frozensets below
-        for e in edges:
-            pair = frozenset(e)
-            if len(pair) != 2 or len(e) != 2:  # [0, 1, 0] is no edge either
-                raise ValueError("bad edge %r"
-                                 % (sorted(pair if len(pair) != 2 else e),))
-            i, j = e
-            if not (type(i) is int and 0 <= i < num_vertices
-                    and type(j) is int and 0 <= j < num_vertices):
-                raise ValueError("bad edge %r" % (sorted(e),))
-            nb[i].append(j)
-            nb[j].append(i)
+        try:
+            for i, j in edges:
+                nb[i].append(j)
+                nb[j].append(i)
+            # every endpoint is in some list (True and 1.0 too, even
+            # where they hash as key 1)
+            ok = not nb or (
+                set(map(type, chain.from_iterable(nb.values()))) == {int}
+                and min(nb) >= 0 and max(nb) < num_vertices)
+        except (TypeError, ValueError):  # an edge is no pair of hashables
+            ok = False
         by_nb = {}
-        for v in sorted(nb):
-            by_nb.setdefault(frozenset(nb[v]), []).append(v)
+        if ok:
+            for v in sorted(nb):
+                by_nb.setdefault(frozenset(nb[v]), []).append(v)
+            # a loop at v puts v in N(v); then each twin w has v in N(w),
+            # so w is in N(v) = N(w): one member per class finds any loop
+            ok = not any(vs[0] in key for key, vs in by_nb.items())
+        if not ok:
+            _check_edges(edges, num_vertices)
+            # not reached: the bulk checks refuse only what it refuses
+            raise AssertionError("_check_edges passed a refused edge list")
         self.classes = list(by_nb.values())
         cls = {v: k for k, members in enumerate(self.classes) for v in members}
-        self.ns = [frozenset(cls[v] for v in vs) for vs in by_nb]
+        self.ns = [frozenset(map(cls.__getitem__, vs)) for vs in by_nb]
         self.cells = list(cells) if cells is not None else None
         self.n = n
         self._hierarchy = None  # built by hierarchy() on first use
@@ -89,15 +116,30 @@ class DeltaGraph:
 
     @classmethod
     def from_json(cls, obj):
-        verts = obj["vertices"]
-        ids = [v["id"] for v in verts]
-        if sorted(ids) != list(range(len(ids))) or bool in map(type, ids):
+        """The Delta of a JSON object (see to_json).  Ids, edge endpoints,
+        the label fields a, d, x and n must be JSON integers; n may be
+        absent or null (unknown) and any vertex may go unlabelled."""
+        verts, get_id = obj["vertices"], itemgetter("id")
+        ids = list(map(get_id, verts))
+        if sorted(ids) != list(range(len(ids))) \
+                or not set(map(type, ids)) <= {int}:
             raise ValueError("vertex ids must be 0..m-1")
-        cells = [None] * len(ids)
-        for v in verts:
-            if "cell" in v:
-                cells[v["id"]] = ReducedOneCell.from_json(v["cell"])
-        return cls(len(ids), obj["edges"], cells=cells, n=obj.get("n"))
+        n = obj.get("n")
+        if n is not None and type(n) is not int:
+            raise ValueError("n must be a JSON integer")
+        labelled, cell_at = [v for v in verts if "cell" in v], {}
+        if labelled:
+            a, d, x = zip(*map(itemgetter("a", "d", "x"),
+                               map(itemgetter("cell"), labelled)))
+            if not (set(map(type, x)) <= {list} and set(map(
+                    type, chain(a, d, chain.from_iterable(x)))) == {int}):
+                raise ValueError("cell fields a and d must be JSON "
+                                 "integers, x a list of them")
+            cells = map(tuple.__new__, repeat(ReducedOneCell),
+                        zip(a, d, map(tuple, x)))
+            cell_at = dict(zip(map(get_id, labelled), cells))
+        return cls(len(ids), obj["edges"],
+                   cells=map(cell_at.get, range(len(ids))), n=n)
 
     def to_dot(self, name="Delta"):
         lines = ["graph %s {" % name]

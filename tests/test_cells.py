@@ -1,7 +1,9 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treebraid import cells as C, tree as T
+from treebraid import cells as C, delta as D, tree as T
 
 from conftest import T_MIN, path_tree, radial_tree
 
@@ -41,9 +43,13 @@ class TestEnumeration:
                 c.x[i] >= 1 for i in range(1, c.d))
 
     def test_json_round_trip(self):
+        # labels are read back where a Delta file is read
         t, cells = _cells_of(T_MIN, 4)
-        for c in cells:
-            assert C.ReducedOneCell.from_json(c.to_json()) == c
+        obj = {"vertices": [{"id": i, "cell": c.to_json()}
+                            for i, c in enumerate(cells)], "edges": []}
+        back = D.DeltaGraph.from_json(json.loads(json.dumps(obj))).cells
+        assert back == cells
+        assert {type(c) for c in back} == {C.ReducedOneCell}
 
 
 class TestExplicit:

@@ -249,6 +249,31 @@ class TestErrors:
             assert (code, out) == (2, "")
             assert err.startswith("error: cannot read delta") and message in err
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"vertices": [{"id": 0, "cell": {"a": 3.7, "d": 1,
+                                          "x": [1, "2", True]}}],
+          "edges": []}, "cell fields a and d must be JSON integers"),
+        ({"vertices": [{"id": 0.0}], "edges": []}, "vertex ids"),
+        ({"n": 4.0, "vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1]]},
+         "n must be a JSON integer"),
+        ({"n": True, "vertices": [{"id": 0}], "edges": []},
+         "n must be a JSON integer"),
+        ({"vertices": [{"id": 0, "cell": {"a": 0, "d": 1}}], "edges": []},
+         "'x'"),
+        ({"vertices": [{"id": 0, "cell": None}], "edges": []},
+         "not subscriptable"),
+    ])
+    def test_bad_fields_exit_2(self, capsys, tmp_path, obj, message):
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps(obj))
+        for argv in (["reconstruct", "--delta", str(p)],
+                     ["detect-n", "--delta", str(p)],
+                     ["iso", "--delta", str(p), str(p)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: cannot read delta")
+            assert message in err
+
     @pytest.mark.parametrize("n, message", [("1", "n must be >= 2"),
                                             ("6", "n <= 5")])
     def test_delta_bad_n_exit_2(self, capsys, tmin_file, n, message):

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from collections import defaultdict
 from itertools import combinations, product
 
 import pytest
@@ -498,8 +499,154 @@ class TestSerialization:
                 {"vertices": [{"id": 0}, {"id": 1}, {"id": 2}],
                  "edges": [[True, 2], [0, 2]]})
 
+    @pytest.mark.parametrize("cell", [
+        {"a": 3.7, "d": 1, "x": [1, 2, 1]},
+        {"a": 3, "d": 1.0, "x": [1, 2, 1]},
+        {"a": 3, "d": True, "x": [1, 2, 1]},
+        {"a": 3, "d": 1, "x": [1, "2", True]},
+        {"a": 3, "d": 1, "x": [1, 2.0, 1]},
+        {"a": 3, "d": 1, "x": "121"},
+        {"a": 3, "d": 1, "x": 121},
+        {"a": "3", "d": 1, "x": [1, 2, 1]},
+    ])
+    def test_label_fields_must_be_integers(self, cell):
+        # the other vertex carries a good label, so the bad one is found
+        # among others
+        verts = [{"id": 0, "cell": {"a": 0, "d": 1, "x": [0, 1, 1]}},
+                 {"id": 1, "cell": cell}]
+        with pytest.raises(ValueError, match="cell fields"):
+            D.DeltaGraph.from_json({"vertices": verts, "edges": []})
+
+    def test_bad_label_shapes_keep_their_errors(self):
+        with pytest.raises(KeyError):
+            D.DeltaGraph.from_json(
+                {"vertices": [{"id": 0, "cell": {"a": 0, "d": 1}}],
+                 "edges": []})
+        with pytest.raises(TypeError):
+            D.DeltaGraph.from_json(
+                {"vertices": [{"id": 0, "cell": None}], "edges": []})
+
+    @pytest.mark.parametrize("ids", [[0.0], [0, 1.0]])
+    def test_float_ids_rejected(self, ids):
+        # 0.0 == 0, but a JSON float is no vertex id
+        with pytest.raises(ValueError, match="vertex ids"):
+            D.DeltaGraph.from_json(
+                {"vertices": [{"id": i} for i in ids], "edges": []})
+
+    @pytest.mark.parametrize("n", [4.0, True, "4", [4]])
+    def test_n_must_be_integer(self, n):
+        with pytest.raises(ValueError, match="n must be a JSON integer"):
+            D.DeltaGraph.from_json(
+                {"n": n, "vertices": [{"id": 0}], "edges": []})
+
+    def test_n_absent_or_null_is_unknown(self):
+        for obj in [{}, {"n": None}]:
+            obj.update(vertices=[{"id": 0}], edges=[])
+            assert D.DeltaGraph.from_json(obj).n is None
+
+    @given(st.permutations(range(6)),
+           st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_labels_land_at_their_ids(self, order, labelled):
+        cells = [C.ReducedOneCell(i, 1 + i % 2, (0, i, 1)) for i in range(6)]
+        verts = [{"id": i, "cell": cells[i].to_json()} if labelled[i]
+                 else {"id": i} for i in order]
+        dg = D.DeltaGraph.from_json({"vertices": verts, "edges": []})
+        assert dg.cells == [c if on else None
+                            for c, on in zip(cells, labelled)]
+        assert all(type(c) is C.ReducedOneCell
+                   for c in dg.cells if c is not None)
+
     def test_dot_outputs(self, tmin4):
         t, dg = tmin4
         assert dg.to_dot().startswith("graph Delta {")
         assert D.hierarchy_to_dot(dg).startswith("graph H {")
         assert D.tree_to_dot(t).startswith("graph T {")
+
+
+# ---------------------------------------------------------------------------
+# the bulk edge check against the per-edge loop
+
+
+def _reference_quotient(num_vertices, edges):
+    """(classes, ns) by checking each edge before grouping: DeltaGraph's
+    constructor as it was before the checks went in bulk."""
+    nb = defaultdict(list)
+    for e in edges:
+        pair = frozenset(e)
+        if len(pair) != 2 or len(e) != 2:
+            raise ValueError("bad edge %r"
+                             % (sorted(pair if len(pair) != 2 else e),))
+        i, j = e
+        if not (type(i) is int and 0 <= i < num_vertices
+                and type(j) is int and 0 <= j < num_vertices):
+            raise ValueError("bad edge %r" % (sorted(e),))
+        nb[i].append(j)
+        nb[j].append(i)
+    by_nb = {}
+    for v in sorted(nb):
+        by_nb.setdefault(frozenset(nb[v]), []).append(v)
+    classes = list(by_nb.values())
+    cls = {v: k for k, members in enumerate(classes) for v in members}
+    return classes, [frozenset(cls[v] for v in vs) for vs in by_nb]
+
+
+_M = 6  # vertices of the drawn complexes
+_ids = st.integers(0, _M - 1)
+_pairs = st.lists(_ids, min_size=2, max_size=2, unique=True)
+_odd_ids = st.one_of(st.integers(-2, -1), st.integers(_M, _M + 1),
+                     st.booleans(), st.sampled_from([0.0, 1.0, 2.5]),
+                     st.sampled_from(["0", "a"]))
+_endpoints = st.one_of(_ids, _odd_ids)
+_bad_edges = st.one_of(
+    _ids.map(lambda v: [v, v]),
+    st.tuples(_ids, _ids).map(lambda p: [p[0], p[1], p[0]]),
+    _ids.map(lambda v: [v]),
+    st.lists(_endpoints, min_size=2, max_size=2),
+    st.lists(st.one_of(_endpoints, st.lists(_ids, max_size=2)),
+             min_size=2, max_size=2),
+    st.frozensets(_endpoints, min_size=1, max_size=3),
+)
+
+
+@st.composite
+def _edge_lists(draw):
+    """Valid pairs (as lists, tuples or frozensets), with up to two
+    malformed edges put at drawn positions."""
+    good = draw(st.lists(st.one_of(_pairs, _pairs.map(tuple),
+                                   _pairs.map(frozenset)), max_size=10))
+    for bad in draw(st.lists(_bad_edges, max_size=2)):
+        good.insert(draw(st.integers(0, len(good))), bad)
+    return good
+
+
+def _outcome(build):
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestBulkEdgeCheck:
+    @settings(max_examples=400)
+    @given(_edge_lists(), st.booleans())
+    def test_matches_per_edge_loop(self, edges, one_shot):
+        want = _outcome(lambda: _reference_quotient(_M, edges))
+
+        def build():
+            dg = D.DeltaGraph(_M, iter(edges) if one_shot else edges)
+            return dg.classes, dg.ns
+
+        assert _outcome(build) == want
+
+    @pytest.mark.parametrize("edges, message", [
+        ([[0, 1], [1, 1], [True, 2]], "bad edge [1]"),
+        ([[0, 1], [True, 1]], "bad edge [True]"),
+        ([[1, 2], [1.0, 3]], "bad edge [1.0, 3]"),
+        ([[0, 1], [2, 0, 2]], "bad edge [0, 2, 2]"),
+        ([[0, 1], [0]], "bad edge [0]"),
+        ([[0, 6], [-1, 2]], "bad edge [0, 6]"),
+    ])
+    def test_first_bad_edge_named(self, edges, message):
+        with pytest.raises(ValueError) as ei:
+            D.DeltaGraph(_M, iter(edges))
+        assert str(ei.value) == message

@@ -6,11 +6,15 @@ from treebraid import tree as T
 from conftest import T_MIN, caterpillar, path_tree, radial_tree, star_tree
 
 
-# random plane trees: nested child-list structure under the basepoint
+# random plane trees with at most 3 children per vertex, under the
+# basepoint; a leaf is "()", so an inner vertex has 1 to 3 children.
+# The median tree drawn has about 9 vertices; a tenth have 25 or more.
 def _tree_strategy():
-    node = st.deferred(
-        lambda: st.lists(node, min_size=0, max_size=3).map(
-            lambda kids: "(" + "".join(kids) + ")"))
+    node = st.recursive(
+        st.just("()"),
+        lambda node: st.lists(node, min_size=1, max_size=3).map(
+            lambda kids: "(" + "".join(kids) + ")"),
+        max_leaves=300)
     return node.map(lambda body: "(" + body + ")")
 
 
