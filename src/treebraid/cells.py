@@ -15,7 +15,7 @@ disjoint.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import islice, permutations
 from math import comb
 from typing import NamedTuple
 
@@ -128,15 +128,9 @@ def enumerate_reduced_1cells(t, n):
 
 
 def _walk_chain(t, start, count):
-    """Collect `count` vertices along the degree-2 chain starting at
-    `start` (inclusive), walking away from the root."""
-    out = []
-    u = start
-    for _ in range(count):
-        out.append(u)
-        if len(t.children[u]) != 1:
-            break
-        u = t.children[u][0]
+    """The first `count` vertices of the degree-2 chain from `start`
+    (inclusive), walking away from the root."""
+    out = list(islice(_tree._chain(t, start), count))
     if len(out) != count:
         raise ValueError("insufficient subdivision for stacking")
     return out

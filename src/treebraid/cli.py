@@ -147,11 +147,13 @@ def cmd_iso(args):
 
 def cmd_verify(args):
     t, _ = _load_subdivided(args.tree, args.n)
-    report = {
-        "counts": _oracle.verify_morse_counts(t, args.n),
-        "coboundary": _oracle.verify_d_equals_delta(
-            t, args.n, args.forms_sample),
-    }
+    try:
+        coboundary = _oracle.verify_d_equals_delta(
+            t, args.n, args.forms_sample)
+    except ValueError as exc:
+        return _fail(str(exc))
+    report = {"counts": _oracle.verify_morse_counts(t, args.n),
+              "coboundary": coboundary}
     print(json.dumps(report, indent=2, sort_keys=True))
     ok = all(r["pass"] is not False for r in report.values())
     return 0 if ok else 1
@@ -169,16 +171,14 @@ def cmd_presentation(args):
         "relations": [],
     }
     # coboundary support chains of the necessary forms f(a,x) and
-    # f(a,x)dc_1, c_1 critical: one candidate per distinct (a, x) and c_1
-    all_cells = _cells.enumerate_reduced_1cells(t, n)
-    zero_forms = _forms.basic_0forms(all_cells)
-    criticals = [c for c in all_cells if _cells.is_critical(c)]
-    forms = zero_forms + [
-        _forms.BasicForm(f.base, (c1,))
-        for f in zero_forms for c1 in criticals if f.base[0] != c1.a]
+    # f(a,x)dc_1, c_1 critical; each necessary 1-form is a witness of
+    # its one necessary cell
+    order = _forms.ROrder(t, n)
+    forms = [f for f in _forms.basic_0forms(order.cells)
+             if _forms.is_necessary(f, t, n) is not None]
+    for c in order.cells:
+        forms.extend(_forms.necessary_witnesses(c, t, n, order))
     for form in forms:
-        if _forms.is_necessary(form, t, n) is None:
-            continue
         out["relations"].append({
             "form": str(form),
             "support": sorted(str(u) for u in

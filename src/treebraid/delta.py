@@ -20,16 +20,19 @@ from .cells import ReducedOneCell
 
 def _check_edges(edges, num_vertices):
     """Raise ValueError naming the first edge, in input order, that is not
-    two distinct int ids in 0..num_vertices-1 (bool is no id)."""
+    two distinct int ids in 0..num_vertices-1 (bool is no id).  The edge
+    is named sorted, by its distinct endpoints when it repeats one, and
+    as given when its endpoints do not hash or do not sort."""
     for e in edges:
-        pair = frozenset(e)
-        if len(pair) != 2 or len(e) != 2:  # [0, 1, 0] is no edge either
-            raise ValueError("bad edge %r"
-                             % (sorted(pair if len(pair) != 2 else e),))
-        i, j = e
-        if not (type(i) is int and 0 <= i < num_vertices
-                and type(j) is int and 0 <= j < num_vertices):
-            raise ValueError("bad edge %r" % (sorted(e),))
+        ends = list(e)
+        if not (len(ends) == 2 and ends[0] != ends[1] and all(
+                type(i) is int and 0 <= i < num_vertices for i in ends)):
+            try:
+                pair = set(ends)
+                ends = sorted(pair if len(pair) != 2 else ends)
+            except TypeError:  # ['a', 0] and [0, [1]] are named as given
+                pass
+            raise ValueError("bad edge %r" % (ends,))
 
 
 class Undefined(Exception):
@@ -121,8 +124,8 @@ class DeltaGraph:
         absent or null (unknown) and any vertex may go unlabelled."""
         verts, get_id = obj["vertices"], itemgetter("id")
         ids = list(map(get_id, verts))
-        if sorted(ids) != list(range(len(ids))) \
-                or not set(map(type, ids)) <= {int}:
+        if not set(map(type, ids)) <= {int} \
+                or sorted(ids) != list(range(len(ids))):
             raise ValueError("vertex ids must be 0..m-1")
         n = obj.get("n")
         if n is not None and type(n) is not int:
@@ -180,10 +183,8 @@ def m_cup_adjacent(c, cp, t, n):
     the other cell is not s's smallest occupied direction."""
     if c == cp or c.a == cp.a or not _cells.upper_bound_exists(c, cp, t):
         return False
-    # cross-vertex <_r comparisons are unaffected by the Type I/II swap,
-    # and same-vertex pairs never have an upper bound, so the plain
-    # lexicographic key suffices here
-    small, other = sorted((c, cp), key=_forms.ROrder.key)
+    # <_r sorts by vertex first, and c.a != cp.a
+    small, other = (c, cp) if c.a < cp.a else (cp, c)
     s_critical = _cells.lub_is_critical(c, cp, t)
     kind = _forms.classify_exceptional(small, n) if n == 5 else None
     if kind == "I":
@@ -297,18 +298,22 @@ def _rooted_hierarchy(delta, root=None):
     return h, root
 
 
-def _pruning_child(h, root):
-    """The pruning child for n = 5: the first child j of root whose
-    descendants are half of root's and include one of any two root
-    children with a common descendant; None when there is none."""
+def _pruned(h, root, n):
+    """The sorted classes of H, the descendants of root that survive
+    pruning.  For n = 5 the pruning child is cut off with its
+    descendants: the first child j of root whose descendants are half of
+    root's and include one of any two root children with a common
+    descendant.  None when n = 5 and no child qualifies."""
+    desc = h.below[root]
+    if n != 5:
+        return sorted(desc)
     kids = h.kids[root]
     for j in kids:
         dj = h.below[j]
-        if 2 * len(dj) != len(h.below[root]):
-            continue
-        if all(u in dj or v in dj or h.below[u].isdisjoint(h.below[v])
-               for u, v in combinations(kids, 2)):
-            return j
+        if 2 * len(dj) == len(desc) and all(
+                u in dj or v in dj or h.below[u].isdisjoint(h.below[v])
+                for u, v in combinations(kids, 2)):
+            return sorted(desc - dj)
     return None
 
 
@@ -363,12 +368,10 @@ def reconstruct_tree(delta, n, root=None):
                 "no radial tree: |Delta| = %d is not a Y_%d value"
                 % (delta.num_vertices, n))
         return _tree.parse_tree("((" + "()" * (deg - 1) + "))")
-    desc = kept = sorted(h.below[root])
-    if n == 5:
-        candidate = _pruning_child(h, root)
-        if candidate is None:
-            raise Undefined("no pruning child exists (n = 5)")
-        kept = [i for i in desc if i not in h.below[candidate]]
+    desc = sorted(h.below[root])
+    kept = _pruned(h, root, n)
+    if kept is None:
+        raise Undefined("no pruning child exists (n = 5)")
 
     # the exceptional three-vertex case (n = 5): H = {p1, [v0], [u]}
     if n == 5 and len(kept) == 2:
@@ -498,11 +501,8 @@ def hierarchy_to_dot(delta, pruned=False, n=None, name="H"):
     desc = sorted(h.below[root])
     edges = [("p1", root)] + [(i, j) for i in desc for j in h.kids[i]]
     lines = ["graph %s {" % name, '  p1 [label="p_1"];']
-    keep = {"p1"} | h.below[root]
-    if pruned and n == 5:
-        j = _pruning_child(h, root)
-        if j is not None:
-            keep -= h.below[j]
+    kept = _pruned(h, root, n) if pruned else None
+    keep = {"p1", *(desc if kept is None else kept)}
     for v in desc:
         if v in keep:
             lines.append('  c%d [label="[%s]"];' % (v, h.classes[v][0]))

@@ -344,19 +344,18 @@ def corresponding_cell(c, n):
 class ROrder:
     """Total order <_r on all non-extraneous reduced 1-cells.
 
-    cells lists them as ROrder.sort orders them, stamped from the
-    per-degree templates of ROrder.template, and ri indexes them
-    (0-based); critical is the critical subsequence.  critical_runs
-    cuts the critical cells into maximal runs of equal (a, x[0]); <_r
-    sorts by a and then by -x[0], so the runs concatenate to critical.
+    cells lists them in <_r order, stamped from the per-degree templates
+    of ROrder.template, and ri indexes them (0-based); critical is the
+    critical subsequence.  critical_runs cuts the critical cells into
+    maximal runs of equal (a, x[0]); <_r sorts by a and then by -x[0],
+    so the runs concatenate to critical.
     """
 
     def __init__(self, t, n):
         cells = _cells.stamp(t, n, lambda deg: self.template(n, deg))
         self.cells = cells
         self.ri = {c: i for i, c in enumerate(cells)}
-        self.critical = _cells.stamp(
-            t, n, lambda deg: self.template(n, deg, critical=True))
+        self.critical = [c for c in cells if _cells.is_critical(c)]
         self.critical_runs = [
             list(run) for _, run in
             groupby(self.critical, key=lambda c: (c.a, c.x[0]))]
@@ -364,34 +363,27 @@ class ROrder:
 
     @staticmethod
     def key(c):
-        """The lexicographic key (a, -x_0, d, x), before the Type I/II
-        swap."""
+        """The <_r key (a, -x_0, d, x), except that a Type I or II cell
+        (n = 5) takes the d of its corresponding cell.  The pair shares
+        a and x, so the two trade places and the Type II cell is the
+        smaller."""
+        if classify_exceptional(c, sum(c.x)) in ("I", "II"):
+            return (c.a, -c.x[0], corresponding_cell(c, 5).d, c.x)
         return (c.a, -c.x[0], c.d, c.x)
 
     @staticmethod
     def template(n, deg, critical=False):
         """degree_template(n, deg, critical) in <_r order.  <_r sorts by
-        vertex first and a Type I/II pair shares its vertex, so stamping
-        this at every vertex in id order gives the whole order."""
+        vertex first, so stamping this at every vertex in id order gives
+        the whole order."""
         cells = [ReducedOneCell(0, d, x)
                  for d, x in _cells.degree_template(n, deg, critical)]
-        return [(c.d, c.x) for c in ROrder.sort(cells, n)]
+        return [(c.d, c.x) for c in ROrder.sort(cells)]
 
     @staticmethod
-    def sort(cells, n):
-        """The cells in <_r order: sorted by key, then each corresponding
-        Type I/II pair (n=5) switches places so that the Type II cell is
-        the smaller.  Both cells of a pair are critical, so sorting the
-        critical cells alone gives the critical subsequence of the whole
-        order.  cells must hold the partner of each Type I cell."""
-        cells = sorted(cells, key=ROrder.key)
-        if n == 5:
-            type_i = [c for c in cells if classify_exceptional(c, n) == "I"]
-            pos = {c: i for i, c in enumerate(cells)}
-            for c in type_i:
-                i, j = pos[c], pos[corresponding_cell(c, n)]
-                cells[i], cells[j] = cells[j], cells[i]
-        return cells
+    def sort(cells):
+        """The cells in <_r order."""
+        return sorted(cells, key=ROrder.key)
 
 
 # ---------------------------------------------------------------------------

@@ -260,14 +260,17 @@ def verify_d_equals_delta(t, n, forms_sample, rng=None):
     t is the base (unsubdivided) tree; the complex is built on the
     n+2-subdivided tree so that form and complex vertices agree.
     forms_sample is the number of basic 1-forms to sample (all basic
-    0-forms over essential vertices are always checked).  Returns a
-    report dict; on budget overflow the report says skipped.
+    0-forms over essential vertices are always checked); a negative
+    one raises ValueError.  Returns a report dict; on budget overflow
+    the report says skipped.
     """
     import random
 
     from . import cells as _cells
     from . import forms as _forms
 
+    if forms_sample < 0:
+        raise ValueError("forms sample must be >= 0, got %d" % forms_sample)
     rng = rng or random.Random(0)
     ts = _tree.subdivide_for(t, n)
     try:

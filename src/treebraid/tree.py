@@ -181,15 +181,20 @@ def is_sufficiently_subdivided(t, n):
                for c in t.children[v])
 
 
-def _chain_end(t, c):
-    """(u, k): walking down from c through degree-2 vertices, u is the
-    first vertex of degree != 2 and k the number of edges from c's
-    parent to u."""
-    k = 1
+def _chain(t, c):
+    """c and the vertices below it along its degree-2 chain, walking
+    away from *, down to the first vertex of degree != 2 (inclusive)."""
+    yield c
     while t.degree(c) == 2:
         c = t.children[c][0]
-        k += 1
-    return c, k
+        yield c
+
+
+def _chain_end(t, c):
+    """(u, k): u the last vertex of _chain(t, c) and k the number of
+    edges from c's parent to u."""
+    path = list(_chain(t, c))
+    return path[-1], len(path)
 
 
 def _subdivide(t, need):
@@ -223,16 +228,9 @@ def essential_vertices(t):
 def _essential_adjacency(t):
     """Map essential vertex -> list of essential vertices adjacent to it
     (connected by a path crossing no other essential vertex)."""
-    ess = essential_vertices(t)
-    adj = {v: [] for v in ess}
-    for v in ess:
-        # walk down each child chain to the next essential vertex, if any
-        for c in t.children[v]:
-            u, _ = _chain_end(t, c)
-            if t.degree(u) >= 3:
-                adj[v].append(u)
-                adj[u].append(v)
-    return adj
+    return {v: [u for u in nb if t.degree(u) >= 3]
+            for v, nb in _suppressed_adjacency(t).items()
+            if t.degree(v) >= 3}
 
 
 def is_extremal(t, v):
@@ -258,34 +256,38 @@ def is_radial(t):
 
 
 def _suppressed_adjacency(t):
-    """Undirected adjacency of t with all degree-2 vertices suppressed.
+    """Undirected adjacency of t with all degree-2 vertices suppressed,
+    keyed by the vertex ids kept, in id order.
 
     The basepoint is an ordinary leaf of the tree (it is part of the
     homeomorphism type); only the choice of which leaf is the basepoint
-    is forgotten.
+    is forgotten.  It has degree <= 1, so vertex 0 is always kept.
     """
-    keep = [v for v in range(len(t)) if t.degree(v) != 2]
-    if len(keep) <= 1:  # single-vertex tree (a tree always keeps its leaves)
-        return {0: []}
-    index = {v: i for i, v in enumerate(keep)}
-    adj = {i: [] for i in range(len(keep))}
-    for v in keep:
+    adj = {v: [] for v in range(len(t)) if t.degree(v) != 2}
+    for v in adj:
         for c in t.children[v]:
             u, _ = _chain_end(t, c)
-            adj[index[v]].append(index[u])
-            adj[index[u]].append(index[v])
+            adj[v].append(u)
+            adj[u].append(v)
     return adj
 
 
-def _ahu_code(adj, root):
-    """AHU canonical code of the rooted tree (children codes sorted)."""
+def _rooted(adj, root):
+    """(order, parent): the vertices of the tree adj breadth-first from
+    root, and the parent of each (None at root)."""
     parent = {root: None}
     order = [root]
-    for v in order:  # breadth-first; order grows while it is walked
+    for v in order:  # order grows while it is walked
         for u in adj[v]:
             if u != parent[v]:
                 parent[u] = v
                 order.append(u)
+    return order, parent
+
+
+def _ahu_code(adj, root):
+    """AHU canonical code of the rooted tree (children codes sorted)."""
+    order, parent = _rooted(adj, root)
     code = {}
     for v in reversed(order):
         code[v] = "(" + "".join(sorted(
@@ -294,34 +296,16 @@ def _ahu_code(adj, root):
 
 
 def _centroids(adj):
-    n = len(adj)
-    if n == 1:
-        return [0]
-    size = {}
-    order = []
-    seen = {0}
-    stack = [(0, None)]
-    parent = {0: None}
-    while stack:
-        v, p = stack.pop()
-        order.append(v)
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                parent[u] = v
-                stack.append((u, v))
-    for v in reversed(order):
-        size[v] = 1 + sum(size[u] for u in adj[v] if parent.get(u) == v)
-    best, cents = None, []
-    for v in order:
-        heavy = max(
-            [n - size[v]] + [size[u] for u in adj[v] if parent.get(u) == v],
-            default=0)
-        if best is None or heavy < best:
-            best, cents = heavy, [v]
-        elif heavy == best:
-            cents.append(v)
-    return cents
+    """The vertices of the tree adj whose largest branch is smallest."""
+    order, parent = _rooted(adj, next(iter(adj)))
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):  # each vertex after its descendants
+        size[parent[v]] += size[v]
+    heavy = {v: max([len(order) - size[v]]
+                    + [size[u] for u in adj[v] if u != parent[v]])
+             for v in order}
+    best = min(heavy.values())
+    return [v for v in order if heavy[v] == best]
 
 
 def canonical_form(t):

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from treebraid import cli, tree as T
+from treebraid import cells as C, cli, forms as F, tree as T
 
-from conftest import (T_MIN, caterpillar, count_hierarchies, path_tree,
-                      radial_tree)
+from conftest import (CORPUS, T_MIN, caterpillar, count_hierarchies,
+                      path_tree, radial_tree)
 
 
 @pytest.fixture
@@ -23,6 +23,23 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def scanned_relations(t, n):
+    """The relations of `presentation` by testing is_necessary on every
+    0-form and on every pair of a 0-form and a critical cell over
+    another vertex."""
+    all_cells = C.enumerate_reduced_1cells(t, n)
+    zero_forms = F.basic_0forms(all_cells)
+    criticals = [c for c in all_cells if C.is_critical(c)]
+    forms = zero_forms + [
+        F.BasicForm(f.base, (c1,))
+        for f in zero_forms for c1 in criticals if f.base[0] != c1.a]
+    relations = [{"form": str(form),
+                  "support": sorted(str(u) for u in
+                                    F.differential(form, t).terms)}
+                 for form in forms if F.is_necessary(form, t, n) is not None]
+    return sorted(relations, key=lambda r: r["form"])
 
 
 class TestVerbs:
@@ -188,6 +205,19 @@ class TestVerbs:
         forms = [rel["form"] for rel in rep["relations"]]
         assert len(forms) == len(set(forms))
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_presentation_relations_match_scan(self, capsys, tmp_path, n):
+        p = tmp_path / "t.tree"
+        for text in CORPUS:
+            t = T.parse_tree(text)
+            if len(T.essential_vertices(t)) > 3:
+                continue
+            p.write_text(text)
+            code, out, _ = run(capsys, "presentation", str(p), "--n", str(n))
+            assert code == 0
+            assert json.loads(out)["relations"] == scanned_relations(
+                T.subdivide_for(t, n), n)
+
 
 class TestErrors:
     def test_usage_exit_2(self, capsys):
@@ -273,6 +303,31 @@ class TestErrors:
             assert (code, out) == (2, "")
             assert err.startswith("error: cannot read delta")
             assert message in err
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"vertices": [{"id": 0}, {"id": 1}], "edges": [["a", 0]]},
+         "bad edge ['a', 0]"),
+        ({"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, [1]]]},
+         "bad edge [0, [1]]"),
+        ({"vertices": [{"id": "a"}, {"id": 0}], "edges": []},
+         "vertex ids must be 0..m-1"),
+    ])
+    def test_mixed_type_edge_or_id_named(self, capsys, tmp_path, obj,
+                                         message):
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "reconstruct", "--delta", str(p))
+        assert (code, out) == (2, "")
+        assert err == "error: cannot read delta %r: %s\n" % (str(p), message)
+
+    @pytest.mark.parametrize("sample", ["-1", "-1000000"])
+    def test_verify_negative_sample_exit_2(self, capsys, tmp_path, sample):
+        p = tmp_path / "t.tree"
+        p.write_text(path_tree([3, 3]))
+        code, out, err = run(capsys, "verify", str(p), "--n", "4",
+                             "--forms-sample", sample)
+        assert (code, out) == (2, "")
+        assert err == "error: forms sample must be >= 0, got %s\n" % sample
 
     @pytest.mark.parametrize("n, message", [("1", "n must be >= 2"),
                                             ("6", "n <= 5")])

@@ -499,6 +499,22 @@ class TestSerialization:
                 {"vertices": [{"id": 0}, {"id": 1}, {"id": 2}],
                  "edges": [[True, 2], [0, 2]]})
 
+    @pytest.mark.parametrize("edge, message", [
+        (["a", 0], "bad edge ['a', 0]"),
+        ([0, [1]], "bad edge [0, [1]]"),
+    ])
+    def test_mixed_type_edge_named(self, edge, message):
+        # endpoints that do not sort or do not hash are named as given
+        with pytest.raises(ValueError) as ei:
+            D.DeltaGraph(2, [edge])
+        assert str(ei.value) == message
+
+    def test_mixed_type_ids_rejected(self):
+        with pytest.raises(ValueError) as ei:
+            D.DeltaGraph.from_json(
+                {"vertices": [{"id": "a"}, {"id": 0}], "edges": []})
+        assert str(ei.value) == "vertex ids must be 0..m-1"
+
     @pytest.mark.parametrize("cell", [
         {"a": 3.7, "d": 1, "x": [1, 2, 1]},
         {"a": 3, "d": 1.0, "x": [1, 2, 1]},
@@ -569,17 +585,28 @@ class TestSerialization:
 
 def _reference_quotient(num_vertices, edges):
     """(classes, ns) by checking each edge before grouping: DeltaGraph's
-    constructor as it was before the checks went in bulk."""
+    constructor as it was before the checks went in bulk, naming an edge
+    whose endpoints do not hash or do not sort as given."""
+
+    def name(ends, pair):
+        try:
+            return sorted(pair if len(pair) != 2 else ends)
+        except TypeError:  # endpoints that do not sort are named as given
+            return ends
+
     nb = defaultdict(list)
     for e in edges:
-        pair = frozenset(e)
-        if len(pair) != 2 or len(e) != 2:
-            raise ValueError("bad edge %r"
-                             % (sorted(pair if len(pair) != 2 else e),))
-        i, j = e
+        ends = list(e)  # a non-iterable edge raises TypeError
+        try:
+            pair = frozenset(ends)
+        except TypeError:  # an endpoint that does not hash is no id
+            raise ValueError("bad edge %r" % (ends,)) from None
+        if len(pair) != 2 or len(ends) != 2:
+            raise ValueError("bad edge %r" % (name(ends, pair),))
+        i, j = ends
         if not (type(i) is int and 0 <= i < num_vertices
                 and type(j) is int and 0 <= j < num_vertices):
-            raise ValueError("bad edge %r" % (sorted(e),))
+            raise ValueError("bad edge %r" % (name(ends, pair),))
         nb[i].append(j)
         nb[j].append(i)
     by_nb = {}

@@ -2,7 +2,7 @@ import pytest
 
 from treebraid import cells as C, forms as F, tree as T
 
-from conftest import T_MIN, path_tree, radial_tree
+from conftest import CORPUS, T_MIN, path_tree, radial_tree
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,43 @@ class TestExceptional:
                 assert C.is_critical(c)
 
 
+def sort_then_swap(cells, n):
+    """<_r as first written: sort by the lexicographic key (a, -x_0, d,
+    x), then swap each Type I cell (n = 5) with its corresponding Type
+    II cell by position.  cells must hold the partner of each Type I
+    cell."""
+    cells = sorted(cells, key=lambda c: (c.a, -c.x[0], c.d, c.x))
+    if n == 5:
+        type_i = [c for c in cells if F.classify_exceptional(c, n) == "I"]
+        pos = {c: i for i, c in enumerate(cells)}
+        for c in type_i:
+            i, j = pos[c], pos[F.corresponding_cell(c, n)]
+            cells[i], cells[j] = cells[j], cells[i]
+    return cells
+
+
 class TestROrder:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_key_matches_sort_then_swap(self, n):
+        swaps = 0
+        for deg in range(3, 10):
+            for critical in (False, True):
+                cells = [C.ReducedOneCell(0, d, x) for d, x
+                         in C.degree_template(n, deg, critical)]
+                want = sort_then_swap(cells, n)
+                assert F.ROrder.sort(cells) == want
+                assert F.ROrder.sort(reversed(cells)) == want
+                swaps += want != sorted(cells, key=lambda c: (
+                    c.a, -c.x[0], c.d, c.x))
+        # Type I/II pairs exist at n = 5 from degree 4 on, full and critical
+        assert swaps == (12 if n == 5 else 0)
+
+    def test_corpus_order_matches_sort_then_swap(self):
+        for text in CORPUS:
+            t = T.subdivide_for(T.parse_tree(text), 5)
+            assert F.ROrder(t, 5).cells == sort_then_swap(
+                C.enumerate_reduced_1cells(t, 5), 5)
+
     def test_partition(self, mixed5):
         t, _ = mixed5
         order = F.ROrder(t, 5)

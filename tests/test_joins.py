@@ -122,7 +122,7 @@ class TestAgainstPairwise:
             # ROrder stamps per-degree templates; the reference sorts
             # every cell at once
             order = F.ROrder(t, n)
-            assert order.cells == F.ROrder.sort(cells, n)
+            assert order.cells == F.ROrder.sort(cells)
             assert order.critical == [c for c in order.cells
                                       if C.is_critical(c)]
 
