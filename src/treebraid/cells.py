@@ -7,15 +7,11 @@ a direction at a with d >= 1, and x the a-vector: x[i] counts strands in
 direction i from a, with the edge of the cell counted once in direction
 d (so x[d] >= 1 and sum(x) = n).  Non-extraneous means some strand lies
 off directions {0, d}.
-
-Explicit cells name each occupied edge by its endpoint farther from *
-(see tree.py); occupied vertices and edge closures are pairwise
-disjoint.
 """
 
 from __future__ import annotations
 
-from itertools import islice, permutations
+from itertools import permutations
 from math import comb
 from typing import NamedTuple
 
@@ -27,21 +23,8 @@ class ReducedOneCell(NamedTuple):
     d: int
     x: tuple
 
-    @property
-    def n(self):
-        return sum(self.x)
-
     def to_json(self):
         return {"a": self.a, "d": self.d, "x": list(self.x)}
-
-
-class ExplicitCell(NamedTuple):
-    vertices: frozenset
-    edges: frozenset
-
-    @property
-    def n(self):
-        return len(self.vertices) + len(self.edges)
 
 
 def is_valid_reduced(c, t):
@@ -127,79 +110,6 @@ def enumerate_reduced_1cells(t, n):
     return stamp(t, n, lambda deg: degree_template(n, deg))
 
 
-def _walk_chain(t, start, count):
-    """The first `count` vertices of the degree-2 chain from `start`
-    (inclusive), walking away from the root."""
-    out = list(islice(_tree._chain(t, start), count))
-    if len(out) != count:
-        raise ValueError("insufficient subdivision for stacking")
-    return out
-
-
-def _stack(t, a, d, x):
-    """Explicit occupancy of the (possibly partial) reduced cell (a,d,x):
-    returns (vertex set, edge set).  sum(x) need not equal n (used for
-    the upper-bound construction)."""
-    verts = []
-    edges = []
-    deg = t.degree(a)
-    # direction 0: stack x[0] strands at * and upward toward a
-    if x[0] > 0:
-        path = []
-        u = a
-        while t.parent[u] is not None:
-            u = t.parent[u]
-            path.append(u)
-        path.reverse()  # from * toward a
-        verts.extend(path[: x[0]])
-        if len(path) < x[0]:
-            raise ValueError("insufficient subdivision near *")
-    for i in range(1, deg):
-        if i == d:
-            # the edge itself, plus x[d]-1 vertices stacked beyond iota(e)
-            iota = t.children[a][d - 1]
-            edges.append(iota)
-            if x[d] - 1 > 0:
-                first = t.children[iota][0]
-                verts.extend(_walk_chain(t, first, x[d] - 1))
-        elif x[i] > 0:
-            first = t.children[a][i - 1]
-            verts.extend(_walk_chain(t, first, x[i]))
-    return verts, edges
-
-
-def to_explicit(c, t, n):
-    """Concrete blocked cell of UD_nT realizing the reduced 1-cell c."""
-    if sum(c.x) != n:
-        raise ValueError("cell %r does not have %d strands" % (c, n))
-    verts, edges = _stack(t, c.a, c.d, c.x)
-    cell = ExplicitCell(frozenset(verts), frozenset(edges))
-    if cell.n != n:
-        raise RuntimeError("stacking %r gave %d strands" % (c, cell.n))
-    return cell
-
-
-def from_explicit(cell, t):
-    """Invert to_explicit: recover (a, d, x) from a one-edge reduced cell."""
-    if len(cell.edges) != 1:
-        raise ValueError("expected a 1-cell")
-    iota = next(iter(cell.edges))
-    a = t.parent[iota]
-    deg = t.degree(a)
-    x = [0] * deg
-    x[_tree.direction(t, a, iota)] += 1  # the edge
-    for v in cell.vertices:
-        x[_tree.direction(t, a, v)] += 1
-    return ReducedOneCell(a, _tree.direction(t, a, iota), tuple(x))
-
-
-def _ordered(c1, c2):
-    """Return (c1, c2, swapped) with the vertex-order-smaller cell first."""
-    if c1.a <= c2.a:
-        return c1, c2, False
-    return c2, c1, True
-
-
 def upper_bound_exists(c1, c2, t):
     """Upper Bound Lemma test: with a <= b, alpha the direction from a to
     b, the pair {[c1],[c2]} has an upper bound iff a != b and
@@ -216,32 +126,6 @@ def upper_bound_exists(c1, c2, t):
     return c1.x[alpha] + c2.x[0] >= n + (c1.d == alpha)
 
 
-def lub_reduced(c1, c2, t, n):
-    """Least upper bound 2-cell: s1 = c1 with x[alpha] reduced by
-    n - y[0], union s2 = c2 minus its direction-0 vertices."""
-    c1, c2, _ = _ordered(c1, c2)
-    if not upper_bound_exists(c1, c2, t):
-        raise ValueError("no upper bound")
-    if sum(c1.x) != n:
-        raise ValueError("cells %r and %r do not have %d strands"
-                         % (c1, c2, n))
-    alpha = _tree.direction(t, c1.a, c2.a)
-    x1 = list(c1.x)
-    x1[alpha] -= n - c2.x[0]
-    v1, e1 = _stack(t, c1.a, c1.d, x1)
-    y2 = list(c2.x)
-    y2[0] = 0
-    v2, e2 = _stack(t, c2.a, c2.d, y2)
-    verts = frozenset(v1) | frozenset(v2)
-    edges = frozenset(e1) | frozenset(e2)
-    cell = ExplicitCell(verts, edges)
-    if (len(verts) != len(v1) + len(v2) or len(edges) != 2
-            or cell.n != n):
-        raise RuntimeError("least upper bound of %r and %r is not a 2-cell"
-                           " on %d strands" % (c1, c2, n))
-    return cell
-
-
 def edge_disrespectful_in_lub(c1, c2, t):
     """Disrespect flags (for the edge of c1, the edge of c2) in the
     reduced representative of the least upper bound of {c1, c2}.
@@ -249,10 +133,11 @@ def edge_disrespectful_in_lub(c1, c2, t):
     c1 is taken to be the cell over the vertex-order-smaller vertex; the
     flags are returned in the argument order given.
     """
-    a, b, swapped = _ordered(c1, c2)
+    swapped = c1.a > c2.a
+    a, b = (c2, c1) if swapped else (c1, c2)
     if not upper_bound_exists(a, b, t):
         raise ValueError("no upper bound")
-    n = a.n
+    n = sum(a.x)
     alpha = _tree.direction(t, a.a, b.a)
     y0 = b.x[0]
     clause_a = 0 < alpha < a.d and a.x[alpha] + y0 > n
@@ -322,6 +207,12 @@ def count_critical_cells(t, n):
     product of their sizes.  Requires t subdivided for n+2 strands."""
     if not _tree.is_sufficiently_subdivided(t, n + 2):
         raise ValueError("tree is not sufficiently subdivided for n+2 strands")
+    return _betti(t, n)
+
+
+def _betti(t, n):
+    """count_critical_cells(t, n) for any t: the sums read only degrees
+    and directions, which subdivision keeps."""
     sizes, joins = cub_quotient(t, n)
     b1 = sum(radial_rank(n, t.degree(a)) for a in _tree.essential_vertices(t))
     return b1, sum(sizes[p] * sizes[q] for p in joins for q in joins[p]) // 2
@@ -338,14 +229,17 @@ def cub_quotient(t, n):
     5 the keys are the twin classes of Delta, joined as joins says
     (source paper; Farley-Sabalka, JPAA 212 (2008))."""
     joins = {}
-    for a, b in permutations(_tree.essential_vertices(t), 2):
-        alpha, beta = t.directions(a)[b], t.directions(b)[a]
+    rows = {a: t.directions(a) for a in _tree.essential_vertices(t)}
+    for a, b in permutations(rows, 2):
+        alpha, beta = rows[a][b], rows[b][a]
         for k in range(2, n - 1):
             joins.setdefault((a, alpha, k), []).extend(
-                (b, beta, l) for l in range(n - k, n - 1))
-    sizes = {(a, delta, k): radial_rank(n - k, t.degree(a))
-             - radial_rank(n - k - 1, t.degree(a)) for a, delta, k in joins}
-    return sizes, joins
+                [(b, beta, l) for l in range(n - k, n - 1)])
+    # a size depends only on deg a and k: one Y difference per pair
+    degs = {a: t.degree(a) for a, _, _ in joins}
+    size = {(x, k): radial_rank(n - k, x) - radial_rank(n - k - 1, x)
+            for x in set(degs.values()) for k in range(2, n - 1)}
+    return {(a, d, k): size[degs[a], k] for a, d, k in joins}, joins
 
 
 def radial_rank(n, x):

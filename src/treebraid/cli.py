@@ -181,8 +181,7 @@ def cmd_presentation(args):
     for form in forms:
         out["relations"].append({
             "form": str(form),
-            "support": sorted(str(u) for u in
-                              _forms.differential(form, t).terms),
+            "support": sorted(map(str, _forms.differential(form, t))),
         })
     out["relations"].sort(key=lambda r: r["form"])
     print(json.dumps(out, indent=2, sort_keys=True))

@@ -22,9 +22,13 @@ def _check_edges(edges, num_vertices):
     """Raise ValueError naming the first edge, in input order, that is not
     two distinct int ids in 0..num_vertices-1 (bool is no id).  The edge
     is named sorted, by its distinct endpoints when it repeats one, and
-    as given when its endpoints do not hash or do not sort."""
+    as given when its endpoints do not hash or do not sort, or when it
+    is not iterable."""
     for e in edges:
-        ends = list(e)
+        try:
+            ends = list(e)
+        except TypeError:  # 5 is named as given
+            raise ValueError("bad edge %r" % (e,)) from None
         if not (len(ends) == 2 and ends[0] != ends[1] and all(
                 type(i) is int and 0 <= i < num_vertices for i in ends)):
             try:
@@ -144,8 +148,8 @@ class DeltaGraph:
         return cls(len(ids), obj["edges"],
                    cells=map(cell_at.get, range(len(ids))), n=n)
 
-    def to_dot(self, name="Delta"):
-        lines = ["graph %s {" % name]
+    def to_dot(self):
+        lines = ["graph Delta {"]
         for i, c in enumerate(self.cells or [None] * self.num_vertices):
             label = "" if c is None else \
                 ' [label="%d,%d,%s"]' % (c.a, c.d, list(c.x))
@@ -154,6 +158,10 @@ class DeltaGraph:
             lines.append("  v%d -- v%d;" % (e[0], e[1]))
         lines.append("}")
         return "\n".join(lines)
+
+
+def delta_to_json_text(delta):
+    return json.dumps(delta.to_json(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +364,9 @@ def reconstruct_tree(delta, n, root=None):
     """The tree T_Delta grown from the neighborhood hierarchy of a
     maximal class, following the Y-degree equations.  root selects the
     <=_N-maximal class (default: the first, deterministically); raises
-    Undefined when the complex is not a tree braid Delta.
+    Undefined when the complex is not a tree braid Delta, in particular
+    when the grown tree's Betti numbers are not (|V|, |E|) of Delta (a
+    radial tree has them by the choice of its degree).
     """
     if n not in (4, 5):
         raise ValueError("n must be 4 or 5")
@@ -389,7 +399,8 @@ def reconstruct_tree(delta, n, root=None):
         if a is None or yb is None or cdeg is None:
             raise Undefined("no degrees solve the exceptional equations")
         mid = "(" + "()" * (cdeg - 1) + ")" + "()" * (yb - 2)
-        return _tree.parse_tree("((" + "(" + mid + ")" + "()" * (a - 2) + "))")
+        return _counted(delta, n, _tree.parse_tree(
+            "((" + "(" + mid + ")" + "()" * (a - 2) + "))"))
 
     # H must be a tree rooted at p1: children are taken in the full
     # hierarchy H', then restricted to the surviving vertices (pruning
@@ -420,7 +431,20 @@ def reconstruct_tree(delta, n, root=None):
     pdeg["p1"] = _solve_Y(2, len(h.classes[root]))
     if pdeg["p1"] is None:
         raise Undefined("pdeg_1 undefined")
-    return _tree.parse_tree(_grow_tree(children_of, pdeg))
+    return _counted(delta, n, _tree.parse_tree(_grow_tree(children_of, pdeg)))
+
+
+def _counted(delta, n, t):
+    """t, if its (b_1, b_2) at n is (|V|, |E|) of delta; else raise
+    Undefined."""
+    b = _cells._betti(t, n)
+    sizes = list(map(len, delta.classes))
+    m = sum(sizes[k] * sizes[j] for k, js in enumerate(delta.ns) for j in js)
+    want = (delta.num_vertices, m // 2)
+    if b != want:
+        raise Undefined("the grown tree has (b1, b2) = %s, Delta has "
+                        "(|V|, |E|) = %s" % (b, want))
+    return t
 
 
 def detect_n(delta):
@@ -484,49 +508,3 @@ def decide_isomorphic(spec1, spec2):
         raise ValueError("isomorphism across strand counts is undecided: "
                          "b1 = %d at n = %d and at n = %d" % (b1, n1, n2))
     return _tree.trees_homeomorphic(t1, t2)
-
-
-# ---------------------------------------------------------------------------
-# DOT exports
-
-
-def hierarchy_to_dot(delta, pruned=False, n=None, name="H"):
-    """DOT text for H' (or H when pruned=True, which requires n): the
-    auxiliary node p_1 joined to the root class, and the Hasse edges
-    among the root's descendants.  Pruning keeps the classes that
-    reconstruct_tree keeps (all of them when no pruning child exists)."""
-    h, root = _rooted_hierarchy(delta)
-    if root is None:
-        return "graph %s {\n}" % name
-    desc = sorted(h.below[root])
-    edges = [("p1", root)] + [(i, j) for i in desc for j in h.kids[i]]
-    lines = ["graph %s {" % name, '  p1 [label="p_1"];']
-    kept = _pruned(h, root, n) if pruned else None
-    keep = {"p1", *(desc if kept is None else kept)}
-    for v in desc:
-        if v in keep:
-            lines.append('  c%d [label="[%s]"];' % (v, h.classes[v][0]))
-    for e in edges:
-        a, b = sorted(e, key=str)
-        if a in keep and b in keep:
-            na = "p1" if a == "p1" else "c%d" % a
-            nb = "p1" if b == "p1" else "c%d" % b
-            lines.append("  %s -- %s;" % (na, nb))
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def tree_to_dot(t, name="T"):
-    lines = ["graph %s {" % name]
-    for v in range(len(t)):
-        shape = "doublecircle" if v == 0 else (
-            "circle" if t.degree(v) >= 3 else "point")
-        lines.append("  v%d [shape=%s];" % (v, shape))
-    for e in t.edges():
-        lines.append("  v%d -- v%d;" % (t.parent[e], e))
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def delta_to_json_text(delta):
-    return json.dumps(delta.to_json(), indent=2, sort_keys=True)

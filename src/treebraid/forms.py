@@ -53,25 +53,12 @@ class BasicForm(NamedTuple):
     base: Optional[tuple]
     factors: tuple
 
-    @property
-    def k(self):
-        return len(self.factors)
-
     def __str__(self):
         parts = []
         if self.base is not None:
             parts.append("f(%d,%s)" % (self.base[0], list(self.base[1])))
         parts.extend("d(%d,%d,%s)" % (c.a, c.d, list(c.x)) for c in self.factors)
         return "^".join(parts) or "1"
-
-
-class FormSum(NamedTuple):
-    """Z/2 formal sum of basic forms (set semantics)."""
-
-    terms: frozenset
-
-    def __str__(self):
-        return " + ".join(sorted(str(f) for f in self.terms)) or "0"
 
 
 def eval_form(form, cell, t):
@@ -128,21 +115,15 @@ def basic_0forms(cells):
             for base in dict.fromkeys((c.a, c.x) for c in cells)]
 
 
-def differential_0form(t, a, x, include_extraneous=False):
-    """df(a,x) as a FormSum of pure dc terms."""
-    return FormSum(frozenset(
-        BasicForm(None, (c,))
-        for c in _differential_terms(t, a, x, include_extraneous)))
-
-
 def differential(form, t, include_extraneous=False):
-    """d(f(a,x) dc_1 ... dc_k) = df(a,x) ^ dc_1 ^ ... ^ dc_k."""
+    """d(f(a,x) dc_1 ... dc_k) = df(a,x) ^ dc_1 ^ ... ^ dc_k, as the
+    frozenset of its basic-form terms (a Z/2 sum)."""
     if form.base is None:
-        return FormSum(frozenset())
+        return frozenset()
     a, x = form.base
-    return FormSum(frozenset(
+    return frozenset(
         BasicForm(None, (c,) + form.factors)
-        for c in _differential_terms(t, a, x, include_extraneous)))
+        for c in _differential_terms(t, a, x, include_extraneous))
 
 
 class OracleIndex:
@@ -216,7 +197,7 @@ def coboundary_oracle_check(form, t, complex_, index):
         if eval_form(form, one_cells[i], t):
             delta.symmetric_difference_update(index.cofaces[i])
     d = set()
-    for term in differential(form, t, include_extraneous=True).terms:
+    for term in differential(form, t, include_extraneous=True):
         mask = 0
         for c in term.factors:
             mask |= 2 << 2 * t.children[c.a][c.d - 1]
@@ -245,7 +226,7 @@ def is_necessary(form, t, n):
     a, x = form.base
     if a >= len(t) or t.degree(a) != len(x):
         return None
-    if form.k == 0:
+    if not form.factors:
         d = next((i for i in range(1, len(x)) if x[i] >= 1), None)
         if d is None:
             return None
@@ -253,7 +234,7 @@ def is_necessary(form, t, n):
         if _cells.is_valid_reduced(c, t) and not _cells.is_critical(c):
             return c
         return None
-    if form.k != 1:
+    if len(form.factors) != 1:
         raise ValueError("only 0- and 1-forms are in scope")
     c1 = form.factors[0]
     if c1.a == a:
@@ -276,17 +257,13 @@ def is_necessary(form, t, n):
 
 
 def annihilate(c_factors, s, t):
-    """A_{c_1..c_k}(s): keep the terms dc of s whose class is distinct
-    from every [c_i] and such that {[c_1],..,[c_k],[c]} has an upper
-    bound (pairwise tests suffice for k <= 1)."""
-    kept = set()
-    for term in s.terms:
-        (c,) = term.factors
-        if any(c == ci for ci in c_factors):
-            continue
-        if all(_cells.upper_bound_exists(c, ci, t) for ci in c_factors):
-            kept.add(term)
-    return FormSum(frozenset(kept))
+    """A_{c_1..c_k}(s): keep the terms dc of the sum s whose class is
+    distinct from every [c_i] and such that {[c_1],..,[c_k],[c]} has an
+    upper bound (pairwise tests suffice for k <= 1)."""
+    return frozenset(
+        term for term in s if term.factors[0] not in c_factors
+        and all(_cells.upper_bound_exists(term.factors[0], ci, t)
+                for ci in c_factors))
 
 
 # ---------------------------------------------------------------------------
@@ -408,28 +385,6 @@ def mat_mul(a_cols, b_cols):
     return [mat_vec(a_cols, col) for col in b_cols]
 
 
-def is_lower_triangular(cols):
-    return all(col & ((1 << j) - 1) == 0 for j, col in enumerate(cols))
-
-
-def is_invertible(cols):
-    """GF(2) invertibility by column elimination."""
-    cols = list(cols)
-    m = len(cols)
-    used = [False] * m
-    for row in range(m):
-        bit = 1 << row
-        piv = next(
-            (j for j in range(m) if not used[j] and cols[j] & bit), None)
-        if piv is None:
-            return False
-        used[piv] = True
-        for j in range(m):
-            if j != piv and cols[j] & bit:
-                cols[j] ^= cols[piv]
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the matrices M_omega, M_c, Ms, Mt, M
 
@@ -437,10 +392,9 @@ def is_invertible(cols):
 def u_vector(form, t, n, order):
     """u_omega: indicator bitmask of the nonzero terms of
     A_{c_1..c_k}(df(a,x)) in ROrder coordinates."""
-    a, x = form.base
-    ann = annihilate(form.factors, differential_0form(t, a, x), t)
+    df = differential(BasicForm(form.base, ()), t)
     u = 0
-    for term in ann.terms:
+    for term in annihilate(form.factors, df, t):
         u |= 1 << order.ri[term.factors[0]]
     return u
 

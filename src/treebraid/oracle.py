@@ -17,9 +17,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from . import tree as _tree
-from .cells import ExplicitCell
 
 
 class BudgetExceeded(RuntimeError):
@@ -41,9 +41,8 @@ class CubeComplex:
     int bitmasks of face indices.
     """
 
-    def __init__(self, t, n, keys, faces):
+    def __init__(self, t, keys, faces):
         self.tree = t
-        self.n = n
         self.keys = keys
         self.faces = faces
         self.cells_by_dim = [CellView(ks) for ks in keys]
@@ -53,6 +52,14 @@ class CubeComplex:
         a time, as int bitmasks of face indices (faces appearing an even
         number of times cancel)."""
         return map(_column, self.faces[k])
+
+
+class ExplicitCell(NamedTuple):
+    """A cell of UD_nT: its occupied vertices and its occupied edges,
+    each edge named by its endpoint farther from * (see tree.py)."""
+
+    vertices: frozenset
+    edges: frozenset
 
 
 def decode_cell(key):
@@ -156,7 +163,7 @@ def build_complex(t, n, max_dim=3, budget=5_000_000):
             faces.append(rows)
         if k < top:
             lower = dict(zip(cells, range(len(cells))))
-    return CubeComplex(t, n, keys, faces)
+    return CubeComplex(t, keys, faces)
 
 
 def _rank_gf2(columns):
@@ -212,19 +219,6 @@ def betti(complex_):
     b1 = dims[1] - rank1 - rank2
     b2 = (dims[2] - rank2 - rank3) if len(dims) > 2 else 0
     return b0, b1, b2
-
-
-def check_dd_zero(complex_):
-    """ddc = 0 over Z/2 for every cell of dimension >= 2."""
-    for k in range(2, len(complex_.faces)):
-        lower = complex_.faces[k - 1]
-        for row in complex_.faces[k]:
-            acc = 0
-            for f in row:  # a face listed twice cancels in the XOR
-                acc ^= _column(lower[f])
-            if acc:
-                return False
-    return True
 
 
 def verify_morse_counts(t, n, budget=5_000_000):

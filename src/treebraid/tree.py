@@ -68,16 +68,8 @@ class PlaneTree:
     def __repr__(self):
         return "PlaneTree(%r)" % (to_text(self),)
 
-    @property
-    def basepoint(self):
-        return 0
-
     def degree(self, v):
         return len(self.children[v]) + (0 if self.parent[v] is None else 1)
-
-    def in_subtree(self, v, u):
-        """True iff u lies in the subtree rooted at v (u == v counts)."""
-        return v <= u < self._subtree_end[v]
 
     def edges(self):
         """All edges, named by the endpoint farther from * (iota)."""
@@ -223,32 +215,6 @@ def _subdivide(t, need):
 def essential_vertices(t):
     """Vertices of degree >= 3, in vertex order."""
     return [v for v in range(len(t)) if t.degree(v) >= 3]
-
-
-def _essential_adjacency(t):
-    """Map essential vertex -> list of essential vertices adjacent to it
-    (connected by a path crossing no other essential vertex)."""
-    return {v: [u for u in nb if t.degree(u) >= 3]
-            for v, nb in _suppressed_adjacency(t).items()
-            if t.degree(v) >= 3}
-
-
-def is_extremal(t, v):
-    """True iff v is essential and adjacent to exactly one other
-    essential vertex."""
-    adj = _essential_adjacency(t)
-    return v in adj and len(adj[v]) == 1
-
-
-def is_linear(t):
-    """True iff some embedded segment contains every essential vertex."""
-    adj = _essential_adjacency(t)
-    return all(len(nb) <= 2 for nb in adj.values())
-
-
-def is_radial(t):
-    """True iff t has exactly one essential vertex."""
-    return len(essential_vertices(t)) == 1
 
 
 # ---------------------------------------------------------------------------

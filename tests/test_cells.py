@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from treebraid import cells as C, delta as D, tree as T
 
+import explicit as E
 from conftest import T_MIN, path_tree, radial_tree
 
 
@@ -58,14 +59,14 @@ class TestExplicit:
     def test_round_trip(self, text, n):
         t, cells = _cells_of(text, n)
         for c in cells:
-            ex = C.to_explicit(c, t, n)
+            ex = E.to_explicit(c, t, n)
             assert len(ex.vertices) == n - 1
             assert len(ex.edges) == 1
-            assert C.from_explicit(ex, t) == c
+            assert E.from_explicit(ex, t) == c
 
     def test_explicit_cells_distinct(self):
         t, cells = _cells_of(T_MIN, 4)
-        assert len({C.to_explicit(c, t, 4) for c in cells}) == len(cells)
+        assert len({E.to_explicit(c, t, 4) for c in cells}) == len(cells)
 
 
 class TestUpperBounds:
@@ -90,7 +91,7 @@ class TestUpperBounds:
             for c2 in cells:
                 if c1.a >= c2.a or not C.upper_bound_exists(c1, c2, t):
                     continue
-                s = C.lub_reduced(c1, c2, t, n)
+                s = E.lub_reduced(c1, c2, t, n)
                 assert len(s.edges) == 2
                 for c in (c1, c2):
                     assert t.children[c.a][c.d - 1] in s.edges

@@ -36,8 +36,7 @@ def scanned_relations(t, n):
         F.BasicForm(f.base, (c1,))
         for f in zero_forms for c1 in criticals if f.base[0] != c1.a]
     relations = [{"form": str(form),
-                  "support": sorted(str(u) for u in
-                                    F.differential(form, t).terms)}
+                  "support": sorted(map(str, F.differential(form, t)))}
                  for form in forms if F.is_necessary(form, t, n) is not None]
     return sorted(relations, key=lambda r: r["form"])
 

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import tracemalloc
 from collections import defaultdict
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from treebraid import cells as C, delta as D, forms as F, tree as T
 
+import explicit as E
 from conftest import (CORPUS, T_MIN, check_closed_quotient, count_hierarchies,
                       path_tree, radial_tree, star_tree)
 
@@ -122,7 +124,7 @@ class TestCubData:
             if any(dg.ns[k] < other for other in dg.ns):
                 continue
             for i in members:
-                assert T.is_extremal(t, dg.cells[i].a)
+                assert E.is_extremal(t, dg.cells[i].a)
                 assert keys[i][2] == 5 - 2
 
 
@@ -209,7 +211,7 @@ class TestQuotient:
         assert T.trees_homeomorphic(D.reconstruct_tree(dg, 5),
                                     T.parse_tree(text))
         assert D.detect_n(dg) == 5
-        assert D.hierarchy_to_dot(dg, pruned=True, n=5).startswith("graph H")
+        assert E.hierarchy_to_dot(dg, pruned=True, n=5).startswith("graph H")
         assert D.decide_isomorphic(dg, dg)
 
 
@@ -256,8 +258,8 @@ class TestHierarchy:
     ])
     def test_pinned_outputs(self, text, dot, pruned, tree):
         dg = D.build_delta(T.subdivide_for(T.parse_tree(text), 5), 5)
-        assert D.hierarchy_to_dot(dg) == dot
-        assert D.hierarchy_to_dot(dg, pruned=True, n=5) == pruned
+        assert E.hierarchy_to_dot(dg) == dot
+        assert E.hierarchy_to_dot(dg, pruned=True, n=5) == pruned
         assert T.to_text(D.reconstruct_tree(dg, 5)) == tree
         assert D.detect_n(dg) == 5
 
@@ -278,14 +280,14 @@ class TestPruning:
         # the pruned H of the DOT export, p_1 included, is the tree of
         # essential vertices that reconstruct_tree grows from it
         dg = D.build_delta(T.subdivide_for(T.parse_tree(text), 5), 5)
-        dot = D.hierarchy_to_dot(dg, pruned=True, n=5)
+        dot = E.hierarchy_to_dot(dg, pruned=True, n=5)
         adj = {"p1": []}
         adj.update((v, []) for v in re.findall(r"^  (c\d+) \[", dot, re.M))
         for a, b in re.findall(r"^  (\w+) -- (\w+);", dot, re.M):
             adj[a].append(b)
             adj[b].append(a)
         tr = D.reconstruct_tree(dg, 5)
-        ess = T._essential_adjacency(tr)
+        ess = E.essential_adjacency(tr)
         assert len(ess) == len(adj)
         assert _unrooted_code(ess) == _unrooted_code(adj)
 
@@ -294,13 +296,28 @@ class TestReconstruct:
     def test_isolated_vertices_radial(self):
         dg = D.DeltaGraph(6, set())
         tr = D.reconstruct_tree(dg, 4)
-        assert T.is_radial(tr)
+        assert E.is_radial(tr)
         a = T.essential_vertices(tr)[0]
         assert tr.degree(a) == 3
 
     def test_isolated_undefined(self):
         with pytest.raises(D.Undefined):
             D.reconstruct_tree(D.DeltaGraph(2, set()), 4)
+
+    def test_random_graphs_refused_or_counted(self):
+        # a tree grown from a graph that is no Delta must not be
+        # returned: b1 = |V| and b2 = |E| for every tree given back
+        rng = random.Random(5)
+        for _ in range(200):
+            m, p = rng.randint(2, 14), rng.random()
+            edges = [e for e in combinations(range(m), 2) if rng.random() < p]
+            for n in (4, 5):
+                try:
+                    tr = D.reconstruct_tree(D.DeltaGraph(m, edges), n)
+                except D.Undefined:
+                    continue
+                assert C.count_critical_cells(T.subdivide_for(tr, n), n) \
+                    == (m, len(edges))
 
     @pytest.mark.parametrize("degree", [65, 100])
     @pytest.mark.parametrize("n", [4, 5])
@@ -310,7 +327,7 @@ class TestReconstruct:
         assert D._solve_Y(n, m) == degree
         monkeypatch.setattr(D, "hierarchy", None)
         tr = D.reconstruct_tree(D.DeltaGraph(m, set(), n=n), n)
-        assert T.is_radial(tr)
+        assert E.is_radial(tr)
         assert tr.degree(T.essential_vertices(tr)[0]) == degree
         with pytest.raises(D.Undefined):
             D.reconstruct_tree(D.DeltaGraph(m + 1, set(), n=n), n)
@@ -327,7 +344,7 @@ class TestReconstruct:
             tracemalloc.stop()
         assert peak < 1 << 20
         tr = D.reconstruct_tree(dg, 4)
-        assert T.is_radial(tr)
+        assert E.is_radial(tr)
         assert tr.degree(T.essential_vertices(tr)[0]) == 100
 
     def test_tmin_round_trip(self, tmin4):
@@ -368,7 +385,7 @@ class TestReconstruct:
         pdeg = dict.fromkeys(list(range(k)) + ["p1"], 3)
         tr = T.parse_tree(D._grow_tree(children_of, pdeg))
         assert len(T.essential_vertices(tr)) == k + 1
-        assert T.is_linear(tr)
+        assert E.is_linear(tr)
 
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):
@@ -491,13 +508,15 @@ class TestSerialization:
     def test_bad_edge_rejected(self):
         # bool is an int subclass, but JSON true and false are no ids
         for edge in [(0, 5), (0, 0), (0, 1, 2), (0, 0.5), (0.0, 1.0),
-                     [0, 1, 0], [1, 0, 1, 1], [True, 0], [False, 1]]:
+                     [0, 1, 0], [1, 0, 1, 1], [True, 0], [False, 1], 5]:
             with pytest.raises(ValueError, match="bad edge"):
                 D.DeltaGraph(2, [edge])
         with pytest.raises(ValueError, match="bad edge"):
             D.DeltaGraph.from_json(
                 {"vertices": [{"id": 0}, {"id": 1}, {"id": 2}],
                  "edges": [[True, 2], [0, 2]]})
+        with pytest.raises(ValueError, match="^bad edge 5$"):
+            D.DeltaGraph.from_json({"vertices": [{"id": 0}], "edges": [5]})
 
     @pytest.mark.parametrize("edge, message", [
         (["a", 0], "bad edge ['a', 0]"),
@@ -573,10 +592,9 @@ class TestSerialization:
                    for c in dg.cells if c is not None)
 
     def test_dot_outputs(self, tmin4):
-        t, dg = tmin4
+        _, dg = tmin4
         assert dg.to_dot().startswith("graph Delta {")
-        assert D.hierarchy_to_dot(dg).startswith("graph H {")
-        assert D.tree_to_dot(t).startswith("graph T {")
+        assert E.hierarchy_to_dot(dg).startswith("graph H {")
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 An `assert` is stripped by `python -O`, so each check below must raise
 ValueError (bad arguments) or RuntimeError (a broken internal
-invariant) instead.  CI runs this file under `python -O` too.
+invariant) instead.  CI runs this file under `python -O` too.  The
+explicit-cell cases guard the reference helpers of explicit.py, which
+other tests rely on.
 """
 
 import pytest
 
 from treebraid import cells as C, forms as F, tree as T
 
+import explicit as E
 from conftest import T_MIN, path_tree
 
 
@@ -27,19 +30,19 @@ class TestCells:
     def test_to_explicit_wrong_n(self, tmin4):
         t, cells = tmin4
         with pytest.raises(ValueError):
-            C.to_explicit(cells[0], t, 5)
+            E.to_explicit(cells[0], t, 5)
 
     def test_to_explicit_bad_stack(self, tmin4, monkeypatch):
         t, cells = tmin4
-        real = C._stack
+        real = E.stack
 
         def short(*args):
             verts, edges = real(*args)
             return verts[1:], edges
 
-        monkeypatch.setattr(C, "_stack", short)
+        monkeypatch.setattr(E, "stack", short)
         with pytest.raises(RuntimeError):
-            C.to_explicit(cells[0], t, 4)
+            E.to_explicit(cells[0], t, 4)
 
     def test_upper_bound_mixed_strand_counts(self, tmin4):
         t, cells = tmin4
@@ -52,20 +55,20 @@ class TestCells:
         t, cells = tmin4
         c1, c2 = _bounded_pair(t, cells)
         with pytest.raises(ValueError):
-            C.lub_reduced(c1, c2, t, 5)
+            E.lub_reduced(c1, c2, t, 5)
 
     def test_lub_reduced_overlapping_stacks(self, tmin4, monkeypatch):
         t, cells = tmin4
         c1, c2 = _bounded_pair(t, cells)
-        real = C._stack
+        real = E.stack
 
         def doubled(*args):
             verts, edges = real(*args)
             return verts + verts[:1], edges
 
-        monkeypatch.setattr(C, "_stack", doubled)
+        monkeypatch.setattr(E, "stack", doubled)
         with pytest.raises(RuntimeError):
-            C.lub_reduced(c1, c2, t, 4)
+            E.lub_reduced(c1, c2, t, 4)
 
 
 class TestForms:

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from treebraid import tree as T
 
+import explicit as E
 from conftest import T_MIN, caterpillar, path_tree, radial_tree, star_tree
 
 
@@ -22,7 +23,7 @@ class TestParse:
     def test_smallest(self):
         t = T.parse_tree("(())")
         assert len(t) == 2
-        assert t.basepoint == 0
+        assert t.parent[0] is None
         assert t.degree(0) == 1
 
     def test_three_vertex_path(self):
@@ -86,7 +87,7 @@ class TestDirections:
         for a in range(len(t)):
             for v in range(len(t)):
                 want = next((i + 1 for i, c in enumerate(t.children[a])
-                             if t.in_subtree(c, v)), 0)
+                             if E.in_subtree(t, c, v)), 0)
                 assert T.direction(t, a, v) == want
 
     def test_degree_bound(self):
@@ -115,19 +116,19 @@ class TestSubdivision:
 
 class TestClassification:
     def test_radial(self):
-        assert T.is_radial(T.parse_tree(radial_tree(4)))
-        assert not T.is_radial(T.parse_tree(T_MIN))
+        assert E.is_radial(T.parse_tree(radial_tree(4)))
+        assert not E.is_radial(T.parse_tree(T_MIN))
 
     def test_linear(self):
-        assert T.is_linear(T.parse_tree(path_tree([3, 4, 3])))
-        assert T.is_linear(T.parse_tree(radial_tree(3)))
-        assert not T.is_linear(T.parse_tree(star_tree(3, (3, 3, 3))))
-        assert T.is_linear(T.parse_tree(T_MIN)) is False
+        assert E.is_linear(T.parse_tree(path_tree([3, 4, 3])))
+        assert E.is_linear(T.parse_tree(radial_tree(3)))
+        assert not E.is_linear(T.parse_tree(star_tree(3, (3, 3, 3))))
+        assert E.is_linear(T.parse_tree(T_MIN)) is False
 
     def test_extremal(self):
         t = T.parse_tree(path_tree([3, 4, 3]))
         ess = T.essential_vertices(t)
-        flags = [T.is_extremal(t, v) for v in ess]
+        flags = [E.is_extremal(t, v) for v in ess]
         assert sorted(flags) == [False, True, True]
 
 
