@@ -2,8 +2,9 @@
 Command-line surface.
 
 Exit codes: 0 success / decided true, 1 decided false (iso) or failed
-verification, 2 invalid input or usage, 3 reconstruction Undefined,
-4 internal error (an uncaught exception, reported on stderr).
+verification, 2 invalid input or usage, 3 Undefined: no tree braid Delta
+(reconstruct, detect-n, iso), 4 internal error (an uncaught exception,
+reported on stderr).
 """
 
 from __future__ import annotations
@@ -110,9 +111,6 @@ def cmd_reconstruct(args):
             return _fail("cannot determine n; pass --n")
     try:
         t = _delta.reconstruct_tree(dg, n)
-    except _delta.Undefined as exc:
-        print("undefined: %s" % exc, file=sys.stderr)
-        return 3
     except ValueError as exc:
         return _fail(str(exc))
     print(_tree.to_text(t))
@@ -136,9 +134,6 @@ def cmd_iso(args):
         spec_b = (_load_tree(args.b), nb)
     try:
         same = _delta.decide_isomorphic(spec_a, spec_b)
-    except _delta.Undefined as exc:
-        print("undefined: %s" % exc, file=sys.stderr)
-        return 3
     except ValueError as exc:
         return _fail(str(exc))
     print("isomorphic" if same else "not isomorphic")
@@ -249,6 +244,9 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     except BrokenPipeError:
         return 0
+    except _delta.Undefined as exc:  # the input is no tree braid Delta
+        print("undefined: %s" % exc, file=sys.stderr)
+        return 3
     except Exception as exc:
         # exit 1 means "not isomorphic"; a fault must not read as an answer
         print("internal error: %s: %s" % (type(exc).__name__, exc),

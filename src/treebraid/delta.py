@@ -95,6 +95,7 @@ class DeltaGraph:
         self.cells = list(cells) if cells is not None else None
         self.n = n
         self._hierarchy = None  # built by hierarchy() on first use
+        self._grown = {}  # (n, root) -> the tree reconstruct_tree grew
 
     @classmethod
     def from_quotient(cls, num_vertices, classes, ns, cells=None, n=None):
@@ -292,20 +293,6 @@ def hierarchy(delta):
     return delta._hierarchy
 
 
-def _rooted_hierarchy(delta, root=None):
-    """(h, root): the hierarchy of delta and a <=_N-maximal root class
-    (default: the first, deterministically).  Both are None when every
-    neighborhood is empty, that is when delta has no edges."""
-    if not delta.classes:
-        return None, None
-    h = hierarchy(delta)
-    if root is None:
-        root = h.maximal[0]
-    elif root not in h.maximal:
-        raise ValueError("root must be a <=_N-maximal class")
-    return h, root
-
-
 def _pruned(h, root, n):
     """The sorted classes of H, the descendants of root that survive
     pruning.  For n = 5 the pruning child is cut off with its
@@ -366,11 +353,25 @@ def reconstruct_tree(delta, n, root=None):
     <=_N-maximal class (default: the first, deterministically); raises
     Undefined when the complex is not a tree braid Delta, in particular
     when the grown tree's Betti numbers are not (|V|, |E|) of Delta (a
-    radial tree has them by the choice of its degree).
+    radial tree has them by the choice of its degree).  The tree is
+    grown once per (n, root) and kept with delta, like its hierarchy.
     """
     if n not in (4, 5):
         raise ValueError("n must be 4 or 5")
-    h, root = _rooted_hierarchy(delta, root)
+    h = hierarchy(delta) if delta.classes else None
+    if h is None:  # no edges: the radial case, which takes no root
+        root = None
+    elif root is None:
+        root = h.maximal[0]
+    elif root not in h.maximal:
+        raise ValueError("root must be a <=_N-maximal class")
+    if (n, root) not in delta._grown:
+        delta._grown[n, root] = _grown_tree(delta, n, h, root)
+    return delta._grown[n, root]
+
+
+def _grown_tree(delta, n, h, root):
+    """The body of reconstruct_tree, for the hierarchy h and its root."""
     if root is None:  # every neighborhood empty: radial (free group) case
         deg = _solve_Y(n, delta.num_vertices)
         if deg is None:
@@ -448,20 +449,31 @@ def _counted(delta, n, t):
 
 
 def detect_n(delta):
-    """4, 5, or "unknown": 5 iff two children of a maximal class share a
-    common child; unknown iff all neighborhoods are empty (free group)."""
-    h, root = _rooted_hierarchy(delta)
-    if root is None:
+    """The one m in {4, 5} at which reconstruct_tree grows a tree from
+    delta, or "unknown" when delta has no edges (a free group, whose
+    rank alone fixes no n).  Raises Undefined when a tree grows at
+    neither m or at both."""
+    if not delta.classes:
         return "unknown"
-    return 5 if any(not set(h.kids[u]).isdisjoint(h.kids[v])
-                    for u, v in combinations(h.kids[root], 2)) else 4
+    grown, refused = [], []
+    for m in (4, 5):
+        try:
+            reconstruct_tree(delta, m)
+            grown.append(m)
+        except Undefined as exc:
+            refused.append(exc)
+    if not grown:
+        raise Undefined("n is neither 4 (%s) nor 5 (%s)" % tuple(refused))
+    if len(grown) == 2:
+        raise Undefined("a tree grows at both n = 4 and n = 5")
+    return grown[0]
 
 
 # ---------------------------------------------------------------------------
 # the isomorphism decision
 
 
-def _invariants(spec, which):
+def _invariants(spec):
     """(b1, n, tree or None) of one decide_isomorphic input; None means
     the group is free.  On a tree, b1 = sum of Y_n(deg a) over essential
     vertices a, and the group is free iff at most one vertex is
@@ -471,8 +483,6 @@ def _invariants(spec, which):
         if not spec.classes:
             return spec.num_vertices, spec.n, None
         n = spec.n if spec.n in (4, 5) else detect_n(spec)
-        if n not in (4, 5):
-            raise ValueError("cannot determine n for the %s input" % which)
         return spec.num_vertices, n, reconstruct_tree(spec, n)
     t, n = spec
     if n < 2:
@@ -498,8 +508,8 @@ def decide_isomorphic(spec1, spec2):
     Delta where no tree was given.  Raises Undefined when an alleged
     Delta admits no tree.
     """
-    b1, n1, t1 = _invariants(spec1, "first")
-    b2, n2, t2 = _invariants(spec2, "second")
+    b1, n1, t1 = _invariants(spec1)
+    b2, n2, t2 = _invariants(spec2)
     if b1 != b2 or (t1 is None) != (t2 is None):
         return False
     if t1 is None:

@@ -14,6 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
+from hypothesis import strategies as st
 
 from treebraid import cells as C, delta as D, tree as T
 
@@ -52,6 +53,27 @@ def caterpillar(k):
     (the last one two).  Built as a string: a recursive builder would
     itself exceed the default recursion limit at the depths used."""
     return "(" + "(" * (k - 1) + "(()())" + "())" * (k - 1) + ")"
+
+
+@st.composite
+def trees(draw, min_essential, max_essential, min_degree, max_degree):
+    """Plane trees with min_essential to max_essential essential vertices
+    of degrees min_degree to max_degree: each vertex after the first
+    takes a leaf slot of an earlier one."""
+    degs = draw(st.lists(st.integers(min_degree, max_degree),
+                         min_size=min_essential, max_size=max_essential))
+    kids = [[None] * (d - 1) for d in degs]  # None is a leaf
+    for v in range(1, len(degs)):
+        p, i = draw(st.sampled_from([(p, i) for p in range(v)
+                                     for i, u in enumerate(kids[p])
+                                     if u is None]))
+        kids[p][i] = v
+
+    def emit(v):
+        return "(" + "".join("()" if u is None else emit(u)
+                             for u in kids[v]) + ")"
+
+    return "(" + emit(0) + ")"
 
 
 def count_hierarchies(monkeypatch):

@@ -146,9 +146,10 @@ def hierarchy_to_dot(delta, pruned=False, n=None):
     auxiliary node p_1 joined to the root class, and the Hasse edges
     among the root's descendants.  Pruning keeps the classes that
     reconstruct_tree keeps (all of them when no pruning child exists)."""
-    h, root = D._rooted_hierarchy(delta)
-    if root is None:
+    if not delta.classes:
         return "graph H {\n}"
+    h = D.hierarchy(delta)
+    root = h.maximal[0]
     desc = sorted(h.below[root])
     kept = D._pruned(h, root, n) if pruned else None
     keep = set(desc if kept is None else kept)

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from treebraid import cells as C, cli, forms as F, tree as T
+from treebraid import cells as C, cli, delta as D, forms as F, tree as T
 
 from conftest import (CORPUS, T_MIN, caterpillar, count_hierarchies,
-                      path_tree, radial_tree)
+                      path_tree, radial_tree, trees)
 
 
 @pytest.fixture
@@ -23,6 +28,17 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def stripped_delta(text, n, rng):
+    """The Delta of the tree text at n as JSON, its vertex ids permuted
+    by rng, without n and without the cell labels."""
+    dg = D.build_delta(T.subdivide_for(T.parse_tree(text), n), n)
+    perm = list(range(dg.num_vertices))
+    rng.shuffle(perm)
+    return json.dumps({
+        "vertices": [{"id": i} for i in range(dg.num_vertices)],
+        "edges": sorted(sorted(perm[i] for i in e) for e in dg.edges)})
 
 
 def scanned_relations(t, n):
@@ -115,6 +131,54 @@ class TestVerbs:
         dpath.write_text(out)
         code, out, _ = run(capsys, "detect-n", "--delta", str(dpath))
         assert (code, out.strip()) == (0, "5")
+
+    def test_detect_n_refuses_non_delta(self, capsys, tmp_path):
+        # the path graph on three vertices is the Delta of no tree
+        dpath = tmp_path / "path.json"
+        dpath.write_text(json.dumps(
+            {"vertices": [{"id": 0}, {"id": 1}, {"id": 2}],
+             "edges": [[0, 1], [1, 2]]}))
+        for verb in ("detect-n", "reconstruct"):
+            code, out, err = run(capsys, verb, "--delta", str(dpath))
+            assert (code, out) == (3, "")
+            assert err.startswith("undefined: n is neither 4 (")
+
+    @pytest.mark.parametrize("degs", [[3, 3], [4, 5]])
+    def test_two_essential_at_5(self, capsys, tmp_path, degs):
+        dpath = tmp_path / "d.json"
+        dpath.write_text(stripped_delta(path_tree(degs), 5,
+                                        random.Random(0)))
+        code, out, _ = run(capsys, "detect-n", "--delta", str(dpath))
+        assert (code, out.strip()) == (0, "5")
+        code, out, _ = run(capsys, "reconstruct", "--delta", str(dpath))
+        assert code == 0
+        assert T.trees_homeomorphic(T.parse_tree(out),
+                                    T.parse_tree(path_tree(degs)))
+
+    @given(trees(2, 9, 3, 6), st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_round_trip_beyond_corpus(self, text, rng):
+        # a Delta from outside: relabelled, no n, no labels
+        def run_quiet(*argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(list(argv))
+            return code, out.getvalue().strip(), err.getvalue()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            for n in (4, 5):
+                a, b = (Path(tmp, "%s%d.json" % (k, n)) for k in "ab")
+                a.write_text(stripped_delta(text, n, rng))
+                b.write_text(stripped_delta(text, n, rng))
+                code, out, err = run_quiet("reconstruct", "--delta", str(a))
+                assert code == 0, err
+                assert T.trees_homeomorphic(T.parse_tree(out),
+                                            T.parse_tree(text))
+                assert run_quiet("detect-n", "--delta", str(a)) \
+                    == (0, str(n), "")
+                assert run_quiet("iso", "--delta", str(a), str(b)) \
+                    == (0, "isomorphic", "")
 
     def test_iso_true_false(self, capsys, tmp_path, tmin_file):
         other = tmp_path / "lin.tree"

@@ -12,7 +12,7 @@ from treebraid import cells as C, delta as D, forms as F, tree as T
 
 import explicit as E
 from conftest import (CORPUS, T_MIN, check_closed_quotient, count_hierarchies,
-                      path_tree, radial_tree, star_tree)
+                      path_tree, radial_tree, star_tree, trees)
 
 
 @pytest.fixture(scope="module")
@@ -135,27 +135,8 @@ def _graphs(draw):
     return m, draw(st.sets(st.sampled_from(pairs))) if pairs else set()
 
 
-@st.composite
-def _trees(draw):
-    """Plane trees with 1 to 6 essential vertices of degrees 3 to 7: each
-    vertex after the first takes a leaf slot of an earlier one."""
-    degs = draw(st.lists(st.integers(3, 7), min_size=1, max_size=6))
-    kids = [[None] * (d - 1) for d in degs]  # None is a leaf
-    for v in range(1, len(degs)):
-        p, i = draw(st.sampled_from([(p, i) for p in range(v)
-                                     for i, u in enumerate(kids[p])
-                                     if u is None]))
-        kids[p][i] = v
-
-    def emit(v):
-        return "(" + "".join("()" if u is None else emit(u)
-                             for u in kids[v]) + ")"
-
-    return "(" + emit(0) + ")"
-
-
 class TestQuotient:
-    @given(_trees(), st.sampled_from([4, 5]))
+    @given(trees(1, 6, 3, 7), st.sampled_from([4, 5]))
     @settings(max_examples=100, deadline=None)
     def test_closed_quotient_matches_joins(self, text, n):
         # the reference decides m_cup_adjacent through template_joins
@@ -394,7 +375,8 @@ class TestReconstruct:
 
 class TestDetectN:
     @pytest.mark.parametrize("text", [path_tree([3, 3, 3]),
-                                      star_tree(4, (3, 4, 5)), T_MIN])
+                                      star_tree(4, (3, 4, 5)), T_MIN,
+                                      path_tree([3, 5])])
     @pytest.mark.parametrize("n", [4, 5])
     def test_detects(self, text, n):
         t = T.subdivide_for(T.parse_tree(text), n)
@@ -402,6 +384,18 @@ class TestDetectN:
 
     def test_unknown_for_free(self):
         assert D.detect_n(D.DeltaGraph(26, set())) == "unknown"
+
+    def test_no_tree_refused(self):
+        # the path graph on three vertices is the Delta of no tree
+        with pytest.raises(D.Undefined, match="n is neither 4 .* nor 5"):
+            D.detect_n(D.DeltaGraph(3, [(0, 1), (1, 2)]))
+
+    def test_both_grow_refused(self, tmin4, monkeypatch):
+        t, dg = tmin4
+        anon = D.DeltaGraph(dg.num_vertices, dg.edges)
+        monkeypatch.setattr(D, "_grown_tree", lambda *args: t)
+        with pytest.raises(D.Undefined, match="both n = 4 and n = 5"):
+            D.detect_n(anon)
 
 
 class TestDecide:
@@ -437,6 +431,30 @@ class TestDecide:
         built = count_hierarchies(monkeypatch)
         assert D.decide_isomorphic(anon, (T.parse_tree(T_MIN), 5))
         assert built == [anon]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_one_growth_per_delta(self, n, monkeypatch):
+        # the ladder sequence: reconstruct, then decide against a tree
+        # and against another Delta; then a Delta whose n is detected
+        text, other = path_tree([3, 4, 3]), path_tree([4, 4, 3])
+        dg, dg2 = (D.build_delta(T.subdivide_for(T.parse_tree(s), n), n)
+                   for s in (text, other))
+        counted, grown = D._counted, []
+
+        def counting(delta, m, t):  # the last step of every growth
+            grown.append((delta, m))
+            return counted(delta, m, t)
+
+        monkeypatch.setattr(D, "_counted", counting)
+        t = D.reconstruct_tree(dg, n)
+        assert D.decide_isomorphic((t, n), dg)
+        assert not D.decide_isomorphic(dg, dg2)
+        assert [d for d, _ in grown if d is dg] == [dg]
+        anon = D.DeltaGraph(dg.num_vertices, dg.edges)
+        assert D.detect_n(anon) == n
+        assert D.reconstruct_tree(anon, n) is D.reconstruct_tree(anon, n)
+        assert D.decide_isomorphic(anon, (T.parse_tree(text), n))
+        assert [m for d, m in grown if d is anon].count(n) == 1
 
     def test_across_n(self):
         t = T.parse_tree(T_MIN)
@@ -478,9 +496,9 @@ class TestDecide:
                 c1, c2 = C.count_critical_cells(T.subdivide_for(t, n), n)
                 if c2:
                     with pytest.raises(ValueError, match="requires n in"):
-                        D._invariants((t, n), "first")
+                        D._invariants((t, n))
                 else:
-                    assert D._invariants((t, n), "first") == (c1, n, None)
+                    assert D._invariants((t, n)) == (c1, n, None)
 
 
 class TestSerialization:
