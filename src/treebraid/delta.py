@@ -366,11 +366,11 @@ def reconstruct_tree(delta, n, root=None):
     elif root not in h.maximal:
         raise ValueError("root must be a <=_N-maximal class")
     if (n, root) not in delta._grown:
-        delta._grown[n, root] = _grown_tree(delta, n, h, root)
+        delta._grown[n, root] = _reconstruct(delta, n, h, root)
     return delta._grown[n, root]
 
 
-def _grown_tree(delta, n, h, root):
+def _reconstruct(delta, n, h, root):
     """The body of reconstruct_tree, for the hierarchy h and its root."""
     if root is None:  # every neighborhood empty: radial (free group) case
         deg = _solve_Y(n, delta.num_vertices)

@@ -393,7 +393,7 @@ class TestDetectN:
     def test_both_grow_refused(self, tmin4, monkeypatch):
         t, dg = tmin4
         anon = D.DeltaGraph(dg.num_vertices, dg.edges)
-        monkeypatch.setattr(D, "_grown_tree", lambda *args: t)
+        monkeypatch.setattr(D, "_reconstruct", lambda *args: t)
         with pytest.raises(D.Undefined, match="both n = 4 and n = 5"):
             D.detect_n(anon)
 
