@@ -244,9 +244,11 @@ def cub_quotient(t, n):
 
 def radial_rank(n, x):
     """Y_n(x): the first Betti number of B_n of a radial tree whose
-    essential vertex has degree x (free of this rank; 0 when n = 1)."""
+    essential vertex has degree x (free of this rank; 0 when n = 1).
+
+    The sum over directions i = 2..x-1 of C(n+x-2, n-1) - C(n+x-i-1,
+    n-1) closes, by the hockey-stick identity, to (x-2) C(n+x-2, n-1) -
+    C(n+x-2, n) + 1, so a call costs two binomials whatever x is."""
     if n < 1 or x < 3:
         raise ValueError("radial_rank requires n >= 1 and x >= 3")
-    return sum(
-        comb(n + x - 2, n - 1) - comb(n + x - i - 1, n - 1)
-        for i in range(2, x))
+    return (x - 2) * comb(n + x - 2, n - 1) - comb(n + x - 2, n) + 1

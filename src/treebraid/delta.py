@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from collections.abc import Set
+from functools import cache
 from itertools import chain, combinations, repeat
 from operator import itemgetter
 
@@ -57,7 +59,8 @@ class DeltaGraph:
     adjacent, and two twin classes are joined completely or not at all.
     So classes[k], the sorted members of class k (classes ordered by
     least member), and ns[k], the frozenset of class ids joined to k,
-    determine the graph; edges expands them into frozenset index pairs.
+    determine the graph; edges is a read-only set view of the frozenset
+    index pairs they stand for (_EdgeView), counted without expanding.
     """
 
     def __init__(self, num_vertices, edges, cells=None, n=None):
@@ -96,6 +99,8 @@ class DeltaGraph:
         self.n = n
         self._hierarchy = None  # built by hierarchy() on first use
         self._grown = {}  # (n, root) -> the tree reconstruct_tree grew
+        self._refused = {}  # (n, root) -> why reconstruct_tree grew none
+        self._edges = None  # the edges view, made on first use
 
     @classmethod
     def from_quotient(cls, num_vertices, classes, ns, cells=None, n=None):
@@ -106,10 +111,10 @@ class DeltaGraph:
 
     @property
     def edges(self):
-        """The set of frozenset index pairs, expanded from the quotient."""
-        return {frozenset((u, v)) for k, members in enumerate(self.classes)
-                for j in self.ns[k] if k < j
-                for u in members for v in self.classes[j]}
+        """The frozenset index pairs, as a set view over the quotient."""
+        if self._edges is None:
+            self._edges = _EdgeView(self.classes, self.ns)
+        return self._edges
 
     def to_json(self):
         out = {"vertices": [], "edges": sorted(sorted(e) for e in self.edges)}
@@ -159,6 +164,45 @@ class DeltaGraph:
             lines.append("  v%d -- v%d;" % (e[0], e[1]))
         lines.append("}")
         return "\n".join(lines)
+
+
+class _EdgeView(Set):
+    """The edges of a DeltaGraph read off its twin quotient: the pairs
+    {u, v} with u in class k, v in class j and j in ns[k].  len sums
+    |C_k| |C_j| over joined classes k < j; iteration expands each pair
+    once; a pair is in the view when the classes of its ends are joined.
+    & and | give plain sets."""
+
+    def __init__(self, classes, ns):
+        self._classes, self._ns = classes, ns
+        self._cls = None  # vertex -> class id, built by the first `in`
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return set(it)
+
+    def __len__(self):
+        sizes = list(map(len, self._classes))
+        return sum(sizes[k] * sizes[j]
+                   for k, js in enumerate(self._ns) for j in js if k < j)
+
+    def __iter__(self):
+        classes = self._classes
+        for k, members in enumerate(classes):
+            for j in self._ns[k]:
+                if k < j:
+                    yield from (frozenset((u, v))
+                                for u in members for v in classes[j])
+
+    def __contains__(self, e):
+        if not isinstance(e, (set, frozenset)) or len(e) != 2 \
+                or {type(v) for v in e} != {int}:
+            return False
+        if self._cls is None:
+            self._cls = {v: k for k, members in enumerate(self._classes)
+                         for v in members}
+        k, j = map(self._cls.get, e)
+        return k is not None and j is not None and j in self._ns[k]
 
 
 def delta_to_json_text(delta):
@@ -220,29 +264,44 @@ def cub_label(c, n):
     return ()
 
 
+@cache
+def _labelled_template(n, deg):
+    """(template, labelled): ROrder.template(n, deg, critical=True) as a
+    tuple, and the (p, delta, k) of each position p whose cell has the
+    CUB label (delta, k) by cub_label.  Both read only (d, x), so they
+    are made once per (n, deg); nothing evicts them."""
+    template = tuple(_forms.ROrder.template(n, deg, critical=True))
+    labelled = []
+    for p, (d, x) in enumerate(template):
+        label = cub_label(ReducedOneCell(0, d, x), n)
+        if label:
+            labelled.append((p, *label))
+    return template, tuple(labelled)
+
+
 def build_delta(t, n):
     """Delta for (t, n), n <= 5: one vertex per critical 1-cell (in <_r
     order), edges the pairs whose M-classes cup nontrivially.
 
-    The critical template of each degree is put in <_r order once
-    (ROrder.template) and stamped at every vertex; <_r sorts by vertex
-    first, so this is the order of ROrder(t, n).critical.  The cells at
-    a labelled (delta, k) by cub_label, once per (d, x), form the twin
-    class (a, delta, k) of cells.cub_quotient; the others are isolated.
-    n >= 6 raises ValueError: a cell can have two CUB directions.
+    The critical template of each degree, in <_r order and with its
+    CUB labels, is made once per (n, degree) and kept across builds
+    (_labelled_template); it is stamped at every vertex, and <_r sorts
+    by vertex first, so this is the order of ROrder(t, n).critical.  The
+    cells at a labelled (delta, k) form the twin class (a, delta, k) of
+    cells.cub_quotient; the others are isolated.  n >= 6 raises
+    ValueError: a cell can have two CUB directions.
     """
     if n > 5:
         raise ValueError("Delta is built for n <= 5 only")
-    crit = _cells.stamp(
-        t, n, lambda deg: _forms.ROrder.template(n, deg, critical=True))
+    crit = _cells.stamp(t, n, lambda deg: _labelled_template(n, deg)[0])
     _, joins = _cells.cub_quotient(t, n)
-    labels, members = {}, defaultdict(list)
-    for i, c in enumerate(crit):
-        if (c.d, c.x) not in labels:
-            labels[c.d, c.x] = cub_label(c, n)
-        key = (c.a, *labels[c.d, c.x])
-        if key in joins:  # every key of joins has a partner
-            members[key].append(i)
+    members, i = defaultdict(list), 0
+    for a in _tree.essential_vertices(t):
+        template, labelled = _labelled_template(n, t.degree(a))
+        for p, delta, k in labelled:
+            if (a, delta, k) in joins:  # every key of joins has a partner
+                members[a, delta, k].append(i + p)
+        i += len(template)
     # members is in order of least member; its keys are the classes
     cls = {key: j for j, key in enumerate(members)}
     return DeltaGraph.from_quotient(
@@ -353,8 +412,9 @@ def reconstruct_tree(delta, n, root=None):
     <=_N-maximal class (default: the first, deterministically); raises
     Undefined when the complex is not a tree braid Delta, in particular
     when the grown tree's Betti numbers are not (|V|, |E|) of Delta (a
-    radial tree has them by the choice of its degree).  The tree is
-    grown once per (n, root) and kept with delta, like its hierarchy.
+    radial tree has them by the choice of its degree).  The tree, or the
+    reason none grows, is found once per (n, root) and kept with delta,
+    like its hierarchy.
     """
     if n not in (4, 5):
         raise ValueError("n must be 4 or 5")
@@ -365,8 +425,15 @@ def reconstruct_tree(delta, n, root=None):
         root = h.maximal[0]
     elif root not in h.maximal:
         raise ValueError("root must be a <=_N-maximal class")
+    if (n, root) in delta._refused:
+        # a fresh exception: re-raising a stored one lengthens its traceback
+        raise Undefined(delta._refused[n, root])
     if (n, root) not in delta._grown:
-        delta._grown[n, root] = _reconstruct(delta, n, h, root)
+        try:
+            delta._grown[n, root] = _reconstruct(delta, n, h, root)
+        except Undefined as exc:
+            delta._refused[n, root] = str(exc)
+            raise
     return delta._grown[n, root]
 
 
@@ -439,9 +506,7 @@ def _counted(delta, n, t):
     """t, if its (b_1, b_2) at n is (|V|, |E|) of delta; else raise
     Undefined."""
     b = _cells._betti(t, n)
-    sizes = list(map(len, delta.classes))
-    m = sum(sizes[k] * sizes[j] for k, js in enumerate(delta.ns) for j in js)
-    want = (delta.num_vertices, m // 2)
+    want = (delta.num_vertices, len(delta.edges))
     if b != want:
         raise Undefined("the grown tree has (b1, b2) = %s, Delta has "
                         "(|V|, |E|) = %s" % (b, want))

@@ -30,7 +30,8 @@ class TreeSyntaxError(ValueError):
 class PlaneTree:
     """Immutable plane tree rooted at the basepoint (vertex 0)."""
 
-    __slots__ = ("parent", "children", "_subtree_end", "_hash", "_dirs")
+    __slots__ = ("parent", "children", "_subtree_end", "_hash", "_dirs",
+                 "_canon")
 
     def __init__(self, parent, children):
         self.parent = tuple(parent)
@@ -53,6 +54,7 @@ class PlaneTree:
         self._subtree_end = tuple(end)
         self._hash = hash((self.parent, self.children))
         self._dirs = [None] * n  # rows of directions(), filled on demand
+        self._canon = None  # canonical_form(self), filled on first use
 
     def __len__(self):
         return len(self.parent)
@@ -277,9 +279,12 @@ def _centroids(adj):
 def canonical_form(t):
     """Canonical code of the degree-2-suppressed tree: AHU rooted at the
     centroid (minimum over both centroids when there are two).  Equal
-    codes iff homeomorphic."""
-    adj = _suppressed_adjacency(t)
-    return min(_ahu_code(adj, c) for c in _centroids(adj))
+    codes iff homeomorphic.  Computed on first use and kept with t, like
+    its direction rows."""
+    if t._canon is None:
+        adj = _suppressed_adjacency(t)
+        t._canon = min(_ahu_code(adj, c) for c in _centroids(adj))
+    return t._canon
 
 
 def trees_homeomorphic(t1, t2):

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +153,17 @@ class TestCounting:
                     for a in T.essential_vertices(t))
                 assert c1 == sum(map(C.is_critical,
                                      C.enumerate_reduced_1cells(t, n)))
+
+    def test_radial_rank_closed_form_is_the_sum(self):
+        # the sum over directions the closed form replaces
+        for n in range(1, 12):
+            for x in range(3, 60):
+                assert C.radial_rank(n, x) == sum(
+                    comb(n + x - 2, n - 1) - comb(n + x - i - 1, n - 1)
+                    for i in range(2, x)), (n, x)
+        for n, x in ((0, 3), (4, 2)):
+            with pytest.raises(ValueError, match="radial_rank requires"):
+                C.radial_rank(n, x)
 
     @given(st.integers(2, 7), st.integers(3, 9))
     @settings(max_examples=40)

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,16 @@ class TestVerbs:
         # one strand: B_1 of a tree is trivial
         code, out, _ = run(capsys, "radial-rank", "--n", "1", "--degree", "4")
         assert (code, out.strip()) == (0, "0")
+
+    def test_radial_rank_large_degree(self, capsys):
+        x = 100_000_000
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "radial-rank", "--n", "4",
+                           "--degree", str(x))
+        assert time.perf_counter() - start < 1
+        want = (x - 2) * (x + 2) * (x + 1) * x // 6 \
+            - (x + 2) * (x + 1) * x * (x - 1) // 24 + 1
+        assert (code, out.strip()) == (0, str(want))
 
     def test_subdivide(self, capsys, tmin_file):
         code, out, _ = run(capsys, "subdivide", tmin_file, "--n", "4")

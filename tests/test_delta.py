@@ -188,7 +188,8 @@ class TestQuotient:
         def boom(self):
             raise AssertionError("Delta expanded after build_delta")
 
-        monkeypatch.setattr(D.DeltaGraph, "edges", property(boom))
+        # edges is a view: counting reads the quotient, iterating expands
+        monkeypatch.setattr(type(dg.edges), "__iter__", boom)
         assert T.trees_homeomorphic(D.reconstruct_tree(dg, 5),
                                     T.parse_tree(text))
         assert D.detect_n(dg) == 5
@@ -390,6 +391,22 @@ class TestDetectN:
         with pytest.raises(D.Undefined, match="n is neither 4 .* nor 5"):
             D.detect_n(D.DeltaGraph(3, [(0, 1), (1, 2)]))
 
+    def test_refusal_kept(self, monkeypatch):
+        dg = D.DeltaGraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(D.Undefined) as first:
+            D.detect_n(dg)
+        monkeypatch.setattr(D, "_reconstruct", None)  # not tried again
+        for m in (4, 5):
+            with pytest.raises(D.Undefined) as again:
+                D.reconstruct_tree(dg, m)
+            assert str(again.value) in str(first.value)
+        # a fresh exception each time: a stored one would be re-raised
+        # with a longer traceback on every call
+        with pytest.raises(D.Undefined) as second:
+            D.detect_n(dg)
+        assert str(second.value) == str(first.value)
+        assert second.value is not first.value
+
     def test_both_grow_refused(self, tmin4, monkeypatch):
         t, dg = tmin4
         anon = D.DeltaGraph(dg.num_vertices, dg.edges)
@@ -440,12 +457,18 @@ class TestDecide:
         dg, dg2 = (D.build_delta(T.subdivide_for(T.parse_tree(s), n), n)
                    for s in (text, other))
         counted, grown = D._counted, []
+        reconstruct, tried = D._reconstruct, []
 
         def counting(delta, m, t):  # the last step of every growth
             grown.append((delta, m))
             return counted(delta, m, t)
 
+        def trying(delta, m, *args):  # every growth, refused or not
+            tried.append((delta, m))
+            return reconstruct(delta, m, *args)
+
         monkeypatch.setattr(D, "_counted", counting)
+        monkeypatch.setattr(D, "_reconstruct", trying)
         t = D.reconstruct_tree(dg, n)
         assert D.decide_isomorphic((t, n), dg)
         assert not D.decide_isomorphic(dg, dg2)
@@ -455,6 +478,8 @@ class TestDecide:
         assert D.reconstruct_tree(anon, n) is D.reconstruct_tree(anon, n)
         assert D.decide_isomorphic(anon, (T.parse_tree(text), n))
         assert [m for d, m in grown if d is anon].count(n) == 1
+        # the refused m is tried once too, by the first detection
+        assert sorted(m for d, m in tried if d is anon) == [4, 5]
 
     def test_across_n(self):
         t = T.parse_tree(T_MIN)
@@ -499,6 +524,122 @@ class TestDecide:
                         D._invariants((t, n))
                 else:
                     assert D._invariants((t, n)) == (c1, n, None)
+
+
+def _expanded(dg):
+    """The edges of dg expanded from its quotient into a set, as the
+    edges property did before it became a view."""
+    return {frozenset((u, v)) for k, members in enumerate(dg.classes)
+            for j in dg.ns[k] if k < j
+            for u in members for v in dg.classes[j]}
+
+
+@pytest.fixture(scope="module")
+def corpus_deltas():
+    built = [D.build_delta(T.subdivide_for(T.parse_tree(s), n), n)
+             for n in (4, 5) for s in CORPUS]
+    return built + [D.DeltaGraph.from_json(dg.to_json()) for dg in built]
+
+
+class TestEdgeView:
+    def test_view_is_the_expanded_set(self, corpus_deltas):
+        for dg in corpus_deltas:
+            want, view = _expanded(dg), dg.edges
+            listed = list(view)
+            assert len(view) == len(listed) == len(set(listed)) == len(want)
+            assert set(listed) == want
+            assert view == want and want == view
+            assert bool(view) == bool(want)
+            assert all(e in view for e in want)
+            assert D.DeltaGraph(dg.num_vertices, view).edges == want
+            assert type(view & want) is set and view & want == want
+            assert type(view | set()) is set and view | set() == want
+
+    def test_edgeless(self):
+        t = T.subdivide_for(T.parse_tree(radial_tree(4)), 4)
+        for dg in (D.build_delta(t, 4), D.DeltaGraph(5, [])):
+            assert not dg.edges and len(dg.edges) == 0
+            assert list(dg.edges) == [] and dg.edges == set()
+            assert frozenset((0, 1)) not in dg.edges
+
+    def test_membership(self, corpus_deltas):
+        rng = random.Random(18)
+        for dg in corpus_deltas[::7]:
+            want, view, m = _expanded(dg), dg.edges, dg.num_vertices
+            for _ in range(200):
+                e = frozenset(rng.sample(range(m), 2))
+                assert (e in view) == (e in want)
+            for members in dg.classes:  # twins are never joined
+                assert not any(frozenset(p) in view
+                               for p in combinations(members, 2))
+            for v in range(m):
+                assert frozenset((v,)) not in view and (v, v) not in view
+            for e in (frozenset((0, m)), frozenset((-1, 0)), 5, "ab",
+                      frozenset(("a", 0)), frozenset((0, 1, 2))):
+                assert e not in view
+            for u, v in map(sorted, want):
+                assert (u, v) not in view  # as in a set of frozensets
+                if u == 1:  # bool is no vertex id
+                    assert frozenset((True, v)) not in view
+
+
+def _labelled_per_cell(t, n):
+    """(cells, classes, ns) of build_delta as it was when every build
+    labelled its critical cells with cub_label, once per (d, x)."""
+    crit = C.stamp(t, n, lambda deg: F.ROrder.template(n, deg, critical=True))
+    _, joins = C.cub_quotient(t, n)
+    labels, members = {}, defaultdict(list)
+    for i, c in enumerate(crit):
+        if (c.d, c.x) not in labels:
+            labels[c.d, c.x] = D.cub_label(c, n)
+        key = (c.a, *labels[c.d, c.x])
+        if key in joins:
+            members[key].append(i)
+    cls = {key: j for j, key in enumerate(members)}
+    return (crit, list(members.values()),
+            [frozenset(cls[q] for q in joins[key]) for key in members])
+
+
+class TestTemplateCache:
+    def test_matches_per_cell_labelling(self):
+        D._labelled_template.cache_clear()
+        for n in (4, 5, 4):
+            for s in CORPUS:
+                t = T.subdivide_for(T.parse_tree(s), n)
+                dg = D.build_delta(t, n)
+                assert (dg.cells, dg.classes, dg.ns) \
+                    == _labelled_per_cell(t, n), (s, n)
+
+    def test_second_build_labels_nothing(self, monkeypatch):
+        t = T.subdivide_for(T.parse_tree(path_tree([3, 4, 5])), 5)
+        label, calls = D.cub_label, []
+
+        def counting(c, n):
+            calls.append(c)
+            return label(c, n)
+
+        monkeypatch.setattr(D, "cub_label", counting)
+        D._labelled_template.cache_clear()
+        first = D.build_delta(t, 5)
+        assert len(calls) == C.radial_rank(5, 3) + C.radial_rank(5, 4) \
+            + C.radial_rank(5, 5)  # each degree's template, once
+        del calls[:]
+        second = D.build_delta(t, 5)
+        assert calls == []
+        assert (second.cells, second.classes, second.ns) \
+            == (first.cells, first.classes, first.ns)
+
+    def test_builds_share_no_lists(self):
+        t = T.subdivide_for(T.parse_tree(T_MIN), 5)
+        first = D.build_delta(t, 5)
+        want = ([list(members) for members in first.classes], list(first.ns),
+                list(first.cells))
+        for members in first.classes:
+            members.append(10 ** 6)
+        first.classes.append([10 ** 6 + 1])
+        first.cells.append(None)
+        second = D.build_delta(t, 5)
+        assert (second.classes, second.ns, second.cells) == want
 
 
 class TestSerialization:

@@ -161,6 +161,20 @@ class TestHomeomorphism:
         t = T.parse_tree(text)
         assert T.trees_homeomorphic(t, t)
 
+    @given(_tree_strategy())
+    def test_form_kept_with_tree(self, text):
+        def boom(t):
+            raise AssertionError("canonical form computed twice")
+
+        t = T.parse_tree(text)
+        adj = T._suppressed_adjacency(t)
+        fresh = min(T._ahu_code(adj, c) for c in T._centroids(adj))
+        assert T.canonical_form(t) == fresh
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_suppressed_adjacency", boom)
+            assert T.canonical_form(t) == fresh
+            assert T.trees_homeomorphic(t, t)
+
 
 class TestDeep:
     """A caterpillar deeper than the default recursion limit."""
