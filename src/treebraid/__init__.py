@@ -3,8 +3,9 @@
 Modules: tree (plane trees, Morse embedding, homeomorphism), cells
 (reduced/critical 1-cells, counting), forms (cochains, differential,
 change of basis, cup products), delta (the complex Delta, tree
-reconstruction, isomorphism decision), oracle (brute-force configuration
-space homology), cli (command-line surface).
+reconstruction, isomorphism decision), oracle (homology of the reduced
+Świątkowski complex and of the brute-force configuration space), cli
+(command-line surface).
 """
 
 from . import cells, delta, forms, oracle, tree

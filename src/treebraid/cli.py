@@ -72,12 +72,12 @@ def cmd_cells(args):
 
 
 def cmd_betti(args):
-    t = _oracle.subdivide_exact(_load_tree(args.tree), args.n)
+    t = _load_tree(args.tree)
     try:
-        cx = _oracle.build_complex(t, args.n, max_dim=3)
+        b = _oracle.swiatkowski_betti(t, args.n)
     except (_oracle.BudgetExceeded, ValueError) as exc:
         return _fail(str(exc))
-    print(" ".join(str(b) for b in _oracle.betti(cx)))
+    print(" ".join(map(str, b)))
     return 0
 
 

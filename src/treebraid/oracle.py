@@ -1,21 +1,24 @@
 """
-Brute-force construction of the discretized configuration space UD_nT
-and its Z/2 homology.
+Homology of tree braid groups computed apart from the Morse-theoretic
+modules, in two complexes.
 
-This is deliberately independent of the Morse-theoretic modules: cells
+The brute-force one is the discretized configuration space UD_nT: cells
 are enumerated directly as sets of n pairwise-disjoint closed vertices
 and edges of a subdivided tree, each held as an int key, boundary
 matrices are assembled from the face maps (replace each edge by either
 endpoint), and Betti numbers come from GF(2) elimination on int-bitmask
 columns.  A cell is decoded into an ExplicitCell only where it is read
-as one.  Used to validate the critical-cell counts and the d = delta
-identity.
+as one.  The d = delta identity is checked on it.
+
+The reduced Świątkowski complex (swiatkowski_betti) needs no
+subdivision and has far fewer cells; the critical-cell counts are
+checked against its Betti numbers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import NamedTuple
 
@@ -166,10 +169,10 @@ def build_complex(t, n, max_dim=3, budget=5_000_000):
     return CubeComplex(t, keys, faces)
 
 
-def _rank_gf2(columns):
-    """Rank of a GF(2) matrix given as int-bitmask columns (bit i is row
-    i), by persistence-style column reduction.  Columns are taken one at
-    a time and only the pivots are kept."""
+def _independent(columns):
+    """For each int-bitmask column in turn (bit i is row i), whether it
+    is independent over GF(2) of the columns before it, by
+    persistence-style column reduction.  Only the pivots are kept."""
     pivots = {}
     for col in columns:
         while col:
@@ -179,13 +182,19 @@ def _rank_gf2(columns):
                 pivots[low] = col
                 break
             col ^= piv
-    return len(pivots)
+        yield col != 0
 
 
-def _rank_incidence(t_complex):
-    """Rank of d_1 (2 entries per column): #0-cells minus #components of
-    the 1-skeleton, via union-find."""
-    n0 = len(t_complex.keys[0])
+def _rank_gf2(columns):
+    """Rank of a GF(2) matrix given as int-bitmask columns (bit i is row
+    i), taken one at a time."""
+    return sum(_independent(columns))
+
+
+def _forest(n0, rows):
+    """For each 2-entry column of rows in turn, whether it joins two
+    components of the graph on n0 vertices made by the columns before
+    it (union-find).  The columns that do form a spanning forest."""
     parent = list(range(n0))
 
     def find(x):
@@ -194,12 +203,18 @@ def _rank_incidence(t_complex):
             x = parent[x]
         return x
 
-    merges = 0
-    for row in t_complex.faces[1]:
-        a, b = find(row[0]), find(row[1])
+    for a, b in rows:
+        a, b = find(a), find(b)
         if a != b:
             parent[a] = b
-            merges += 1
+        yield a != b
+
+
+def _rank_incidence(t_complex):
+    """Rank of d_1 (2 entries per column): #0-cells minus #components of
+    the 1-skeleton."""
+    n0 = len(t_complex.keys[0])
+    merges = sum(_forest(n0, t_complex.faces[1]))
     return merges, n0 - merges  # (rank d_1, #components)
 
 
@@ -221,29 +236,146 @@ def betti(complex_):
     return b0, b1, b2
 
 
-def verify_morse_counts(t, n, budget=5_000_000):
-    """Compare oracle Betti numbers against the Morse-theoretic critical
-    cell counts.  Returns a JSON-ready report dict; on budget overflow
-    the report says skipped."""
+# ---------------------------------------------------------------------------
+# the reduced Świątkowski complex (Świątkowski, Colloq. Math. 89 (2001);
+# An, Drummond-Cole and Knudsen, Doc. Math. 24 (2019))
+
+# the most cells swiatkowski_betti builds: enough for the path and the
+# star of four degree-5 vertices at n = 5 (230 061 cells, 251 MB peak);
+# those of eight at n = 4 (637 945 cells) took 2.4 GB and are refused
+SWIATKOWSKI_BUDGET = 250_000
+
+
+def _swiatkowski_generators(t):
+    """(|E|, gens) for t with its degree-2 vertices suppressed: edges are
+    numbered 0..|E|-1 in the order of their endpoints farther from *, and
+    gens has one list per essential vertex v, in vertex order, of the
+    pair (e(h), e(h0)) for each half-edge h at v other than its first
+    half-edge h0."""
+    adj = _tree._suppressed_adjacency(t)
+    edge = {u: i for i, u in enumerate(u for u in adj if u)}
+    gens = []
+    for v, nbrs in adj.items():
+        if len(nbrs) >= 3:
+            h0, *hs = (edge[max(v, u)] for u in nbrs)
+            gens.append([(h, h0) for h in hs])
+    return len(edge), gens
+
+
+def _swiatkowski_cells(n_edges, gens, n, k):
+    """The degree-k cells of the weight-n part, each as (key, face keys).
+
+    A cell is k distinct essential vertices, each with one generator,
+    times a multiset of n - k edges.  Its key holds the multiplicity of
+    edge j in bits s*j.. (2**s > n) and, above them, the 1-based number
+    of the generator chosen at essential vertex i in w bits from
+    s*|E| + w*i.  The boundary of h - h0 is e(h) + e(h0) mod 2, extended
+    as a derivation, so the 2k faces of a cell are its keys with one
+    generator dropped and one of that generator's two edges added; they
+    are distinct.  Cells come in blocks, one per choice of generators,
+    in the order of combinations of the vertices; a block runs through
+    the edge multisets in combinations order.
+    """
+    s = n.bit_length()
+    high = s * n_edges
+    w = max(map(len, gens), default=0).bit_length()
+    monomials = list(map(sum, combinations_with_replacement(
+        [1 << s * j for j in range(n_edges)], n - k)))
+    for vs in combinations(range(len(gens)), k):
+        for cs in product(*(range(1, len(gens[i]) + 1) for i in vs)):
+            g = sum(c << high + w * i for i, c in zip(vs, cs))
+            moves = [(1 << s * e) - (c << high + w * i)
+                     for i, c in zip(vs, cs) for e in gens[i][c - 1]]
+            for m in monomials:
+                key = g + m
+                yield key, [key + d for d in moves]
+
+
+def swiatkowski_sizes(t, n):
+    """Number of cells of each degree 0..min(3, n) in the weight-n part
+    of the reduced Świątkowski complex of t, in closed form: the k-th
+    elementary symmetric function of the generator counts times the
+    number of multisets of n - k edges."""
+    n_edges, gens = _swiatkowski_generators(t)
+    e = [1, 0, 0, 0]
+    for g in gens:
+        e = [e[0]] + [a + len(g) * b for a, b in zip(e[1:], e)]
+    return [e[k] * comb(n_edges + n - k - 1, n - k)
+            for k in range(min(3, n) + 1)]
+
+
+def swiatkowski_betti(t, n, budget=SWIATKOWSKI_BUDGET):
+    """(b_0, b_1, b_2) of B_nT from the reduced Świątkowski complex.
+
+    The complex needs no subdivision: the tree t is read with its
+    degree-2 vertices suppressed.  Each essential vertex v gives one
+    generator h - h0 per half-edge h other than a fixed h0, in degree 1
+    and weight 1; each edge has weight 1 and any multiplicity.  The
+    homology of the weight-n part is H_*(B_nT; Z/2), and tree braid
+    groups have torsion-free homology, so these are the integral Betti
+    numbers.  The complex is built through degree min(3, n), so that
+    b_2 sees the image of d_3, and held as int keys; boundary columns
+    are made one at a time.
+
+    Raises BudgetExceeded before making any cell when the complex has
+    more than budget cells.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    dims = swiatkowski_sizes(t, n)
+    if sum(dims) > budget:
+        raise BudgetExceeded(sum(dims), budget)
+    n_edges, gens = _swiatkowski_generators(t)
+
+    def cells(k):
+        return _swiatkowski_cells(n_edges, gens, n, k)
+
+    ranks = [0, 0, 0, 0]
+    # the rows of d_k+1 are only the k-cells whose d_k column depends on
+    # the ones before: im d_k+1 lies in ker d_k, and a nonzero vector of
+    # ker d_k is nonzero on those cells (for d_2: a cycle of the
+    # 1-skeleton is nonzero off a spanning forest), so the rank stays
+    # and the pivots get narrower
+    rows = {key: i for i, (key, _) in enumerate(cells(0))}
+    for k in range(1, len(dims)):
+        if k == 1:
+            flags = _forest(len(rows), ([rows[f] for f in faces]
+                                        for _, faces in cells(1)))
+        else:
+            flags = _independent(_column(rows[f] for f in faces if f in rows)
+                                 for _, faces in cells(k))
+        flags = list(flags)
+        ranks[k] = sum(flags)
+        if k + 1 < len(dims):
+            rows = {key: r for r, key in enumerate(
+                key for (key, _), f in zip(cells(k), flags) if not f)}
+    dims += [0] * (3 - len(dims))
+    return (dims[0] - ranks[1], dims[1] - ranks[1] - ranks[2],
+            dims[2] - ranks[2] - ranks[3])
+
+
+def verify_morse_counts(t, n, budget=SWIATKOWSKI_BUDGET):
+    """Compare the Betti numbers of the reduced Świątkowski complex
+    (swiatkowski_betti) against the Morse-theoretic critical cell
+    counts.  Returns a JSON-ready report dict whose cells are that
+    complex's cell counts per degree; on budget overflow the report
+    says skipped."""
     from . import cells as _cells
 
-    t_oracle = subdivide_exact(t, n)
-    t_morse = _tree.subdivide_for(t, n)
-    c1, c2 = _cells.count_critical_cells(t_morse, n)
+    c1, c2 = _cells.count_critical_cells(_tree.subdivide_for(t, n), n)
     report = {
         "tree": _tree.to_text(t),
         "n": n,
         "morse": [c1, c2],
     }
     try:
-        cx = build_complex(t_oracle, n, max_dim=3, budget=budget)
+        b0, b1, b2 = swiatkowski_betti(t, n, budget)
     except BudgetExceeded as exc:
         report["skipped"] = str(exc)
         report["pass"] = None
         return report
-    b0, b1, b2 = betti(cx)
     report["b"] = [b0, b1, b2]
-    report["cells"] = list(map(len, cx.keys))
+    report["cells"] = swiatkowski_sizes(t, n)
     report["pass"] = (b0 == 1 and b1 == c1 and b2 == c2)
     return report
 

@@ -7,11 +7,7 @@ with at most 4 essential vertices, every essential degree between 3 and
 shape and deduplicated by canonical form.
 """
 
-import sys
 from itertools import combinations_with_replacement, product
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
 from hypothesis import strategies as st

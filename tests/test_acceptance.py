@@ -131,8 +131,12 @@ def test_criterion_03_oracle_agreement():
     runs.append((T_MIN, 4))
     done = 0
     for text, n in runs:
-        rep = O.verify_morse_counts(T.parse_tree(text), n)
+        t = T.parse_tree(text)
+        rep = O.verify_morse_counts(t, n)
         assert rep["pass"] is True, rep
+        # the brute-force complex too, apart from the Świątkowski one
+        cx = O.build_complex(O.subdivide_exact(t, n), n, max_dim=3)
+        assert list(O.betti(cx)) == [1, *rep["morse"]], (text, n)
         done += 1
     dt = time.time() - t0
     _report(3, dt < 600, "%d homology comparisons, %.1fs" % (done, dt))

@@ -94,6 +94,11 @@ class TestVerbs:
         code, out, _ = run(capsys, "betti", tmin_file, "--n", "4")
         assert code == 0 and out.split() == ["1", "24", "6"]
 
+    def test_betti_beyond_brute_force(self, capsys, tmin_file):
+        # 9.1 M cells in the subdivided configuration space
+        code, out, err = run(capsys, "betti", tmin_file, "--n", "5")
+        assert (code, out, err) == (0, "1 40 30\n", "")
+
     def test_delta_json_and_dot(self, capsys, tmin_file):
         code, out, _ = run(capsys, "delta", tmin_file, "--n", "4")
         obj = json.loads(out)
@@ -260,12 +265,16 @@ class TestVerbs:
         assert rep["coboundary"]["pass"] is True
 
     def test_verify_over_budget_skipped(self, capsys, tmin_file):
+        # the counts come from the Świątkowski complex (10 647 cells);
+        # d = delta needs the brute-force complex, over its budget
         code, out, err = run(capsys, "verify", tmin_file, "--n", "5")
         rep = json.loads(out)
         assert (code, err) == (0, "")
-        for part in ("counts", "coboundary"):
-            assert rep[part]["pass"] is None
-            assert rep[part]["skipped"].startswith("estimated ")
+        assert rep["counts"]["pass"] is True
+        assert rep["counts"]["b"] == [1, 40, 30]
+        assert rep["counts"]["cells"] == [1287, 3960, 3960, 1440]
+        assert rep["coboundary"]["pass"] is None
+        assert rep["coboundary"]["skipped"].startswith("estimated ")
 
     def test_presentation(self, capsys, tmp_path):
         p = tmp_path / "t.tree"

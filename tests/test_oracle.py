@@ -241,6 +241,78 @@ class TestBetti:
         assert "skipped" in rep
 
 
+def brute_force_betti(t, n):
+    return O.betti(O.build_complex(O.subdivide_exact(t, n), n, max_dim=3))
+
+
+class TestSwiatkowski:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_brute_force_on_corpus(self, n):
+        # at n = 4 only trees whose essential degrees sum to at most 8:
+        # the brute-force complex of the others takes 1 s or more; the
+        # paths with no essential vertex included
+        for text in CORPUS + ["(())", "((()))"]:
+            t = T.parse_tree(text)
+            degrees = [t.degree(v) for v in T.essential_vertices(t)]
+            if len(degrees) <= 3 and (n < 4 or sum(degrees) <= 8):
+                assert O.swiatkowski_betti(t, n) == brute_force_betti(t, n), \
+                    text
+
+    @given(st.lists(st.integers(0, 5), max_size=5), st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force_on_random_trees(self, picks, n):
+        # vertex v + 2 hangs from vertex 1 + picks[v] % (v + 1); degree-2
+        # vertices and trees with no essential vertex included
+        kids = [[1], []]
+        for v, p in enumerate(picks):
+            kids[1 + p % (v + 1)].append(len(kids))
+            kids.append([])
+
+        def emit(v):
+            return "(" + "".join(emit(u) for u in kids[v]) + ")"
+
+        t = T.parse_tree(emit(0))
+        assert O.swiatkowski_betti(t, n) == brute_force_betti(t, n)
+
+    def test_matches_critical_counts_on_corpus(self):
+        for text in CORPUS + [T_MIN]:
+            t = T.parse_tree(text)
+            if len(T.essential_vertices(t)) > 3:
+                continue
+            for n in (2, 3, 4, 5):
+                want = C.count_critical_cells(T.subdivide_for(t, n), n)
+                assert O.swiatkowski_betti(t, n) == (1, *want), (text, n)
+
+    @pytest.mark.parametrize("text", [path_tree([3, 4, 5]), T_MIN, "(())"])
+    def test_sizes_count_the_cells(self, text):
+        n_edges, gens = O._swiatkowski_generators(T.parse_tree(text))
+        for n in range(6):
+            made = []
+            lower = set()
+            for k in range(min(3, n) + 1):
+                cells = list(O._swiatkowski_cells(n_edges, gens, n, k))
+                keys = {key for key, _ in cells}
+                assert len(keys) == len(cells)
+                for _, faces in cells:
+                    assert len(set(faces)) == 2 * k
+                    assert lower.issuperset(faces)
+                made.append(len(cells))
+                lower = keys
+            assert O.swiatkowski_sizes(T.parse_tree(text), n) == made
+
+    def test_budget_checked_before_any_cell(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("made a cell")
+
+        monkeypatch.setattr(O, "_swiatkowski_cells", refuse)
+        with pytest.raises(O.BudgetExceeded,
+                           match="^estimated 10647 cells exceeds budget 100$"):
+            O.swiatkowski_betti(T.parse_tree(T_MIN), 5, budget=100)
+        # the path of eight degree-5 vertices: 637 945 cells at n = 4
+        with pytest.raises(O.BudgetExceeded, match="^estimated 637945 "):
+            O.swiatkowski_betti(T.parse_tree(path_tree([5] * 8)), 4)
+
+
 class TestCoboundary:
     def test_two_essential_forms(self):
         rep = O.verify_d_equals_delta(T.parse_tree(path_tree([3, 3])), 4, 20)
