@@ -514,47 +514,33 @@ def cup_normal_form(c1, c2, t, n, order=None):
 
     Returns a frozenset of frozenset pairs of critical 1-cells, each
     pair naming the critical 2-cell that is the least upper bound of its
-    classes.  Pairs whose least upper bound has a noncritical reduced
-    representative are rewritten away using the relations of the
-    presentation: the coboundary support chain of the necessary 1-form
-    witnessing the respectful edge, or of the necessary 0-form of a
-    noncritical member.  Each rewrite replaces a cell by strictly
-    <_r-larger cells over the same vertex, so the loop terminates.  A
-    pair with no upper bound, or whose least upper bound is critical, is
-    answered before the order is needed.
+    classes.  The expansion is a Z/2 sum, worked off a list of pairs
+    starting from (c1, c2): a pair with no upper bound is dropped, one
+    whose least upper bound is critical is added to the sum, and any
+    other is replaced by (cell, other) for each cell of the coboundary
+    support chain of its pivot.  That chain comes from the relations of
+    the presentation: the necessary 1-form witnessing the respectful
+    edge, or the necessary 0-form of a noncritical member.  Each
+    replacement trades the pivot for strictly <_r-larger cells over the
+    same vertex, so the list runs out.  n and order are not read; they
+    stay for callers that pass them.
     """
-    if c1 == c2 or not _cells.upper_bound_exists(c1, c2, t):
-        return frozenset()
-    work = {frozenset((c1, c2))}
-    if _cells.lub_is_critical(c1, c2, t):
-        return frozenset(work)
-    order = order or ROrder(t, n)
-
-    def rank(c):
-        return order.ri[c]
-
-    for _ in range(order.rm * order.rm):
-        target = None
-        for pair in sorted(
-                work, key=lambda p: sorted(rank(c) for c in p)):
-            p, q = sorted(pair, key=rank)
-            if not _cells.lub_is_critical(p, q, t):
-                target = pair
-                break
-        if target is None:
-            return frozenset(work)
-        p, q = sorted(target, key=lambda c: c.a)  # vertex-order
+    out = set()
+    work = [(c1, c2)]
+    while work:
+        p, q = work.pop()
+        if not _cells.upper_bound_exists(p, q, t):
+            continue
+        if _cells.lub_is_critical(p, q, t):
+            out ^= {frozenset((p, q))}
+            continue
+        if p.a > q.a:
+            p, q = q, p
         # the pivot owns the respectful edge: p when q's edge is
         # disrespectful (p is then the necessary cell of f(p)dq), else
-        # the noncritical q (rewritten via its necessary 0-form); the
-        # pair is replaced by the support chain of the pivot's form
+        # the noncritical q (rewritten via its necessary 0-form)
         _, q_disrespectful = _cells.edge_disrespectful_in_lub(p, q, t)
         pivot, other = (p, q) if q_disrespectful else (q, p)
-        replacements = {
-            frozenset((cell, other))
-            for cell in _differential_terms(t, pivot.a, pivot.x, False)
-            if cell != pivot and cell != other
-            and _cells.upper_bound_exists(cell, other, t)}
-        work.symmetric_difference_update({target})
-        work.symmetric_difference_update(replacements)
-    raise RuntimeError("cup product rewriting did not terminate")
+        work.extend((cell, other) for cell in _differential_terms(
+            t, pivot.a, pivot.x, False) if cell != pivot)
+    return frozenset(out)

@@ -4,15 +4,18 @@ modules, in two complexes.
 
 The brute-force one is the discretized configuration space UD_nT: cells
 are enumerated directly as sets of n pairwise-disjoint closed vertices
-and edges of a subdivided tree, each held as an int key, boundary
-matrices are assembled from the face maps (replace each edge by either
-endpoint), and Betti numbers come from GF(2) elimination on int-bitmask
-columns.  A cell is decoded into an ExplicitCell only where it is read
-as one.  The d = delta identity is checked on it.
+and edges of a subdivided tree, each held as an int key, with face maps
+(replace each edge by either endpoint).  A cell is decoded into an
+ExplicitCell only where it is read as one.  The d = delta identity is
+checked on it.
 
 The reduced Świątkowski complex (swiatkowski_betti) needs no
 subdivision and has far fewer cells; the critical-cell counts are
 checked against its Betti numbers.
+
+Both complexes get their Betti numbers from one GF(2) rank routine,
+_homology: d_1 by a spanning forest, and each d_k+1 on int-bitmask
+columns narrowed to the k-cells whose d_k column is dependent.
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ class CubeComplex:
     2e+1 an occupied edge e.  keys[k] lists the dimension-k cells, and
     faces[k][i] the 2k codim-1 face indices of cell i (faces[0] is
     None).  cells_by_dim[k] shows keys[k] as a read-only sequence of
-    ExplicitCell, each decoded when it is read.  Boundary columns are
-    int bitmasks of face indices.
+    ExplicitCell, each decoded when it is read.
     """
 
     def __init__(self, t, keys, faces):
@@ -49,12 +51,6 @@ class CubeComplex:
         self.keys = keys
         self.faces = faces
         self.cells_by_dim = [CellView(ks) for ks in keys]
-
-    def boundary_columns(self, k):
-        """Mod-2 boundary columns of the dimension-k cells, made one at
-        a time, as int bitmasks of face indices (faces appearing an even
-        number of times cancel)."""
-        return map(_column, self.faces[k])
 
 
 class ExplicitCell(NamedTuple):
@@ -185,12 +181,6 @@ def _independent(columns):
         yield col != 0
 
 
-def _rank_gf2(columns):
-    """Rank of a GF(2) matrix given as int-bitmask columns (bit i is row
-    i), taken one at a time."""
-    return sum(_independent(columns))
-
-
 def _forest(n0, rows):
     """For each 2-entry column of rows in turn, whether it joins two
     components of the graph on n0 vertices made by the columns before
@@ -210,12 +200,37 @@ def _forest(n0, rows):
         yield a != b
 
 
-def _rank_incidence(t_complex):
-    """Rank of d_1 (2 entries per column): #0-cells minus #components of
-    the 1-skeleton."""
-    n0 = len(t_complex.keys[0])
-    merges = sum(_forest(n0, t_complex.faces[1]))
-    return merges, n0 - merges  # (rank d_1, #components)
+def _homology(dims, cells):
+    """(b_0, b_1, b_2) over GF(2) of a complex with dims[k] cells of
+    degree k for k < len(dims) <= 4 (the boundary of degree 3 is needed
+    for b_2; a missing degree counts as no cells).  cells(k) yields
+    (id, face ids) for each degree-k cell, in the same order at every
+    call; the face ids of a degree-0 cell are not read.
+
+    d_1 is ranked by a spanning forest of the 1-skeleton.  The rows of
+    d_k+1 are only the k-cells whose d_k column depends on the ones
+    before: im d_k+1 lies in ker d_k, and a nonzero vector of ker d_k is
+    nonzero on those cells (for d_2: a cycle of the 1-skeleton is
+    nonzero off a spanning forest), so the rank stays and the pivots get
+    narrower.
+    """
+    ranks = [0, 0, 0, 0]
+    rows = {key: i for i, (key, _) in enumerate(cells(0))}
+    for k in range(1, len(dims)):
+        if k == 1:
+            flags = _forest(len(rows), ([rows[f] for f in faces]
+                                        for _, faces in cells(1)))
+        else:
+            flags = _independent(_column(rows[f] for f in faces if f in rows)
+                                 for _, faces in cells(k))
+        flags = list(flags)
+        ranks[k] = sum(flags)
+        if k + 1 < len(dims):
+            rows = {key: r for r, key in enumerate(
+                key for (key, _), f in zip(cells(k), flags) if not f)}
+    dims = dims + [0] * (3 - len(dims))
+    return (dims[0] - ranks[1], dims[1] - ranks[1] - ranks[2],
+            dims[2] - ranks[2] - ranks[3])
 
 
 def betti(complex_):
@@ -224,16 +239,9 @@ def betti(complex_):
     Requires the complex built through dimension min(3, n) so that the
     image of d_3 is available for b_2 (d_3 is zero when absent).
     """
-    dims = list(map(len, complex_.keys))
-    if len(dims) < 2:
-        return (1 if dims[0] else 0), 0, 0
-    rank1, components = _rank_incidence(complex_)
-    rank2 = _rank_gf2(complex_.boundary_columns(2)) if len(dims) > 2 else 0
-    rank3 = _rank_gf2(complex_.boundary_columns(3)) if len(dims) > 3 else 0
-    b0 = components
-    b1 = dims[1] - rank1 - rank2
-    b2 = (dims[2] - rank2 - rank3) if len(dims) > 2 else 0
-    return b0, b1, b2
+    return _homology(
+        list(map(len, complex_.keys)),
+        lambda k: enumerate(complex_.faces[k] if k else complex_.keys[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +322,8 @@ def swiatkowski_betti(t, n, budget=SWIATKOWSKI_BUDGET):
     homology of the weight-n part is H_*(B_nT; Z/2), and tree braid
     groups have torsion-free homology, so these are the integral Betti
     numbers.  The complex is built through degree min(3, n), so that
-    b_2 sees the image of d_3, and held as int keys; boundary columns
-    are made one at a time.
+    b_2 sees the image of d_3, held as int keys, and ranked by
+    _homology.
 
     Raises BudgetExceeded before making any cell when the complex has
     more than budget cells.
@@ -326,32 +334,7 @@ def swiatkowski_betti(t, n, budget=SWIATKOWSKI_BUDGET):
     if sum(dims) > budget:
         raise BudgetExceeded(sum(dims), budget)
     n_edges, gens = _swiatkowski_generators(t)
-
-    def cells(k):
-        return _swiatkowski_cells(n_edges, gens, n, k)
-
-    ranks = [0, 0, 0, 0]
-    # the rows of d_k+1 are only the k-cells whose d_k column depends on
-    # the ones before: im d_k+1 lies in ker d_k, and a nonzero vector of
-    # ker d_k is nonzero on those cells (for d_2: a cycle of the
-    # 1-skeleton is nonzero off a spanning forest), so the rank stays
-    # and the pivots get narrower
-    rows = {key: i for i, (key, _) in enumerate(cells(0))}
-    for k in range(1, len(dims)):
-        if k == 1:
-            flags = _forest(len(rows), ([rows[f] for f in faces]
-                                        for _, faces in cells(1)))
-        else:
-            flags = _independent(_column(rows[f] for f in faces if f in rows)
-                                 for _, faces in cells(k))
-        flags = list(flags)
-        ranks[k] = sum(flags)
-        if k + 1 < len(dims):
-            rows = {key: r for r, key in enumerate(
-                key for (key, _), f in zip(cells(k), flags) if not f)}
-    dims += [0] * (3 - len(dims))
-    return (dims[0] - ranks[1], dims[1] - ranks[1] - ranks[2],
-            dims[2] - ranks[2] - ranks[3])
+    return _homology(dims, lambda k: _swiatkowski_cells(n_edges, gens, n, k))
 
 
 def verify_morse_counts(t, n, budget=SWIATKOWSKI_BUDGET):

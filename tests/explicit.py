@@ -1,7 +1,8 @@
 """Reference helpers that only tests read: explicit blocked cells of
 reduced cells and of least upper bounds, tree classification, GF(2)
-matrix predicates, the dd = 0 check of an oracle complex, and the DOT
-picture of the neighborhood hierarchy.
+rank and matrix predicates, the dd = 0 check of an oracle complex, cup
+normal forms by <_r-sorted rewriting, and the DOT picture of the
+neighborhood hierarchy.
 
 Explicit cells name each occupied edge by its endpoint farther from *
 (see tree.py); occupied vertices and edge closures are pairwise
@@ -123,15 +124,21 @@ def is_lower_triangular(cols):
     return all(col & ((1 << j) - 1) == 0 for j, col in enumerate(cols))
 
 
+def rank_gf2(cols):
+    """Rank of a GF(2) matrix given as int-bitmask columns (bit i is row
+    i)."""
+    return sum(O._independent(cols))
+
+
 def is_invertible(cols):
     """GF(2) invertibility of a square matrix: full rank."""
-    return O._rank_gf2(cols) == len(cols)
+    return rank_gf2(cols) == len(cols)
 
 
 def check_dd_zero(complex_):
     """ddc = 0 over Z/2 for every cell of dimension >= 2."""
     for k in range(2, len(complex_.faces)):
-        lower = list(complex_.boundary_columns(k - 1))
+        lower = list(map(O._column, complex_.faces[k - 1]))
         for row in complex_.faces[k]:
             acc = 0
             for f in row:  # a face listed twice cancels in the XOR
@@ -139,6 +146,36 @@ def check_dd_zero(complex_):
             if acc:
                 return False
     return True
+
+
+def sorted_cup_normal_form(c1, c2, t, order):
+    """forms.cup_normal_form by rewriting a Z/2 set of pairs in <_r
+    order: at each step the pair whose sorted <_r indices come first
+    among those whose least upper bound is not critical is replaced by
+    its pivot's support chain, until none is left."""
+    if c1 == c2 or not C.upper_bound_exists(c1, c2, t):
+        return frozenset()
+    work = {frozenset((c1, c2))}
+
+    def rank(c):
+        return order.ri[c]
+
+    for _ in range(order.rm * order.rm):
+        target = None
+        for pair in sorted(work, key=lambda p: sorted(map(rank, p))):
+            if not C.lub_is_critical(*pair, t):
+                target = pair
+                break
+        if target is None:
+            return frozenset(work)
+        p, q = sorted(target, key=lambda c: c.a)
+        _, q_disrespectful = C.edge_disrespectful_in_lub(p, q, t)
+        pivot, other = (p, q) if q_disrespectful else (q, p)
+        work ^= {target}
+        work ^= {frozenset((cell, other))
+                 for cell in F._differential_terms(t, pivot.a, pivot.x, False)
+                 if cell != pivot and C.upper_bound_exists(cell, other, t)}
+    raise RuntimeError("cup product rewriting did not terminate")
 
 
 def hierarchy_to_dot(delta, pruned=False, n=None):

@@ -262,3 +262,33 @@ class TestCup:
                     p, q = tuple(pair)
                     assert C.is_critical(p) and C.is_critical(q)
                     assert C.lub_is_critical(p, q, t)
+
+    def test_rewriting_builds_no_order(self, tmin4, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built an ROrder")
+
+        t, cells = tmin4
+        pairs = rewriting_pairs(cells, t)
+        assert pairs
+        monkeypatch.setattr(F, "ROrder", refuse)
+        for c1, c2 in pairs:
+            F.cup_normal_form(c1, c2, t, 4)
+
+    @pytest.mark.parametrize("text", [T_MIN, path_tree([3, 4, 3])])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_matches_sorted_rewriting(self, text, n):
+        t = T.subdivide_for(T.parse_tree(text), n)
+        order = F.ROrder(t, n)
+        pairs = rewriting_pairs(order.cells, t)
+        assert pairs
+        for c1, c2 in pairs:
+            assert F.cup_normal_form(c1, c2, t, n, order) \
+                == E.sorted_cup_normal_form(c1, c2, t, order), (c1, c2)
+
+
+def rewriting_pairs(cells, t):
+    """The pairs of cells with an upper bound whose least upper bound is
+    not critical."""
+    return [(c1, c2) for i, c1 in enumerate(cells) for c2 in cells[i + 1:]
+            if C.upper_bound_exists(c1, c2, t)
+            and not C.lub_is_critical(c1, c2, t)]
