@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
+from math import log10
 
 from . import cells as _cells
 from . import delta as _delta
@@ -82,8 +84,16 @@ def cmd_betti(args):
 
 
 def cmd_radial_rank(args):
+    n, x = args.n, args.degree
+    # refuse past 4300 digits, the limit on int to str conversion, and
+    # before any binomial when Y_n(x) > (N / j)^j / 3 > 10^4300 (n, x >= 3,
+    # N = n + x - 2, 1 <= j < min(n, x), j capped to keep it a float)
+    j = min(n, x, 10 ** 6) - 1
     try:
-        print(_cells.radial_rank(args.n, args.degree))
+        if n >= 3 and x >= 3 and j * (log10(n + x - 2) - log10(j)) > 4301 \
+                or (y := _cells.radial_rank(n, x)) >= 10 ** 4300:
+            return _fail("Y_%d(%d) has more than 4300 digits" % (n, x))
+        print(y)
     except ValueError as exc:
         return _fail(str(exc))
     return 0
@@ -98,7 +108,7 @@ def cmd_delta(args):
     if args.format == "dot":
         print(dg.to_dot())
     else:
-        print(_delta.delta_to_json_text(dg))
+        print(json.dumps(dg.to_json(), indent=2, sort_keys=True))
     return 0
 
 
@@ -183,6 +193,7 @@ def cmd_presentation(args):
     return 0
 
 
+@cache  # one parser, reused by every call to main
 def build_parser():
     p = argparse.ArgumentParser(
         prog="treebraid",
@@ -227,15 +238,9 @@ def build_parser():
     return p
 
 
-_parser = None  # built on the first call to main, then reused
-
-
 def main(argv=None):
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -7,10 +7,9 @@ Delta, strand-count detection, and the isomorphism decision, n in {4, 5}.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from collections.abc import Set
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, combinations, repeat
 from operator import itemgetter
 
@@ -98,9 +97,7 @@ class DeltaGraph:
         self.cells = list(cells) if cells is not None else None
         self.n = n
         self._hierarchy = None  # built by hierarchy() on first use
-        self._grown = {}  # (n, root) -> the tree reconstruct_tree grew
-        self._refused = {}  # (n, root) -> why reconstruct_tree grew none
-        self._edges = None  # the edges view, made on first use
+        self._grown = {}  # n -> the tree _grow grew, or why none grows
 
     @classmethod
     def from_quotient(cls, num_vertices, classes, ns, cells=None, n=None):
@@ -109,12 +106,10 @@ class DeltaGraph:
         self.classes, self.ns = classes, ns
         return self
 
-    @property
+    @cached_property
     def edges(self):
         """The frozenset index pairs, as a set view over the quotient."""
-        if self._edges is None:
-            self._edges = _EdgeView(self.classes, self.ns)
-        return self._edges
+        return _EdgeView(self.classes, self.ns)
 
     def to_json(self):
         out = {"vertices": [], "edges": sorted(sorted(e) for e in self.edges)}
@@ -203,10 +198,6 @@ class _EdgeView(Set):
                          for v in members}
         k, j = map(self._cls.get, e)
         return k is not None and j is not None and j in self._ns[k]
-
-
-def delta_to_json_text(delta):
-    return json.dumps(delta.to_json(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -406,46 +397,45 @@ def _grow_tree(children_of, pdeg):
     return "".join(out)
 
 
-def reconstruct_tree(delta, n, root=None):
-    """The tree T_Delta grown from the neighborhood hierarchy of a
-    maximal class, following the Y-degree equations.  root selects the
-    <=_N-maximal class (default: the first, deterministically); raises
-    Undefined when the complex is not a tree braid Delta, in particular
-    when the grown tree's Betti numbers are not (|V|, |E|) of Delta (a
-    radial tree has them by the choice of its degree).  The tree, or the
-    reason none grows, is found once per (n, root) and kept with delta,
-    like its hierarchy.
-    """
+def reconstruct_tree(delta, n):
+    """The tree T_Delta grown from the neighborhood hierarchy (see
+    _reconstruct).  Raises Undefined when the complex is not a tree
+    braid Delta, in particular when the grown tree's Betti numbers are
+    not (|V|, |E|) of Delta (a radial tree has them by the choice of its
+    degree).  The outcome is kept with delta, one per n (_grow)."""
     if n not in (4, 5):
         raise ValueError("n must be 4 or 5")
-    h = hierarchy(delta) if delta.classes else None
-    if h is None:  # no edges: the radial case, which takes no root
-        root = None
-    elif root is None:
-        root = h.maximal[0]
-    elif root not in h.maximal:
-        raise ValueError("root must be a <=_N-maximal class")
-    if (n, root) in delta._refused:
+    grown = _grow(delta, n)
+    if isinstance(grown, str):
         # a fresh exception: re-raising a stored one lengthens its traceback
-        raise Undefined(delta._refused[n, root])
-    if (n, root) not in delta._grown:
+        raise Undefined(grown)
+    return grown
+
+
+def _grow(delta, n):
+    """delta._grown[n]: the tree _reconstruct grows from delta at n, or
+    the message of the Undefined it raised.  Growth runs once per n."""
+    if n not in delta._grown:
         try:
-            delta._grown[n, root] = _reconstruct(delta, n, h, root)
+            delta._grown[n] = _reconstruct(delta, n)
         except Undefined as exc:
-            delta._refused[n, root] = str(exc)
-            raise
-    return delta._grown[n, root]
+            delta._grown[n] = str(exc)
+    return delta._grown[n]
 
 
-def _reconstruct(delta, n, h, root):
-    """The body of reconstruct_tree, for the hierarchy h and its root."""
-    if root is None:  # every neighborhood empty: radial (free group) case
+def _reconstruct(delta, n, root=None):
+    """The tree grown from the hierarchy of the <=_N-maximal class root
+    (default: the first; every maximal class grows the same tree),
+    following the Y-degree equations; radial when delta has no edges."""
+    if not delta.classes:  # every neighborhood empty: radial (free group)
         deg = _solve_Y(n, delta.num_vertices)
         if deg is None:
             raise Undefined(
                 "no radial tree: |Delta| = %d is not a Y_%d value"
                 % (delta.num_vertices, n))
         return _tree.parse_tree("((" + "()" * (deg - 1) + "))")
+    h = hierarchy(delta)
+    root = h.maximal[0] if root is None else root
     desc = sorted(h.below[root])
     kept = _pruned(h, root, n)
     if kept is None:
@@ -514,21 +504,16 @@ def _counted(delta, n, t):
 
 
 def detect_n(delta):
-    """The one m in {4, 5} at which reconstruct_tree grows a tree from
-    delta, or "unknown" when delta has no edges (a free group, whose
-    rank alone fixes no n).  Raises Undefined when a tree grows at
-    neither m or at both."""
+    """The one m in {4, 5} at which a tree grows from delta (the outcomes
+    of _grow, which reconstruct_tree reads too), or "unknown" when delta
+    has no edges (a free group, whose rank alone fixes no n).  Raises
+    Undefined when a tree grows at neither m or at both."""
     if not delta.classes:
         return "unknown"
-    grown, refused = [], []
-    for m in (4, 5):
-        try:
-            reconstruct_tree(delta, m)
-            grown.append(m)
-        except Undefined as exc:
-            refused.append(exc)
+    grown = [m for m in (4, 5) if not isinstance(_grow(delta, m), str)]
     if not grown:
-        raise Undefined("n is neither 4 (%s) nor 5 (%s)" % tuple(refused))
+        raise Undefined("n is neither 4 (%s) nor 5 (%s)"
+                        % (delta._grown[4], delta._grown[5]))
     if len(grown) == 2:
         raise Undefined("a tree grows at both n = 4 and n = 5")
     return grown[0]
@@ -543,7 +528,8 @@ def _invariants(spec):
     the group is free.  On a tree, b1 = sum of Y_n(deg a) over essential
     vertices a, and the group is free iff at most one vertex is
     essential or n <= 3 (a critical 2-cell needs four strands).  A
-    non-free Delta is reconstructed, so a non-Delta raises Undefined."""
+    non-free Delta is reconstructed, so a non-Delta raises Undefined;
+    b2 is left to decide_isomorphic, which needs it only across n."""
     if isinstance(spec, DeltaGraph):
         if not spec.classes:
             return spec.num_vertices, spec.n, None
@@ -568,18 +554,25 @@ def decide_isomorphic(spec1, spec2):
     Each spec is a (PlaneTree, n) pair or a DeltaGraph.  b1 is compared
     first; free groups (edgeless Delta) then compare by rank alone, and a
     free and a non-free group are never isomorphic.  Non-free groups with
-    equal b1 at different n raise ValueError, not a guess; at equal n the
-    defining trees are compared up to homeomorphism, reconstructing from
-    Delta where no tree was given.  Raises Undefined when an alleged
-    Delta admits no tree.
+    equal b1 at different n compare by b2 (for a Delta, |E|, which its
+    grown tree's b2 equals); equal (b1, b2) raise ValueError, not a
+    guess.  At equal n the defining trees are compared up to
+    homeomorphism, reconstructing from Delta where no tree was given.
+    Raises Undefined when an alleged Delta admits no tree.
     """
-    b1, n1, t1 = _invariants(spec1)
-    b2, n2, t2 = _invariants(spec2)
-    if b1 != b2 or (t1 is None) != (t2 is None):
+    rank1, n1, t1 = _invariants(spec1)
+    rank2, n2, t2 = _invariants(spec2)
+    if rank1 != rank2 or (t1 is None) != (t2 is None):
         return False
     if t1 is None:
         return True
     if n1 != n2:
+        # b2 only now, with both n in {4, 5}: the closed form builds the
+        # CUB quotient, whose size grows with n
+        pair1, pair2 = _cells._betti(t1, n1), _cells._betti(t2, n2)
+        if pair1 != pair2:
+            return False
         raise ValueError("isomorphism across strand counts is undecided: "
-                         "b1 = %d at n = %d and at n = %d" % (b1, n1, n2))
+                         "(b1, b2) = %s at n = %d and at n = %d"
+                         % (pair1, n1, n2))
     return _tree.trees_homeomorphic(t1, t2)

@@ -152,7 +152,7 @@ def test_criterion_04_round_trip_rigidity(store):
             h = D.hierarchy(dg)
             roots = h.maximal if h.ns else [None]
             for r in roots:
-                tr = D.reconstruct_tree(dg, n, root=r)
+                tr = D._reconstruct(dg, n, r)
                 assert T.trees_homeomorphic(tr, base), (s, n, r)
                 trips += 1
             assert D.decide_isomorphic((base, n), dg), (s, n)

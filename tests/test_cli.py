@@ -76,6 +76,20 @@ class TestVerbs:
             - (x + 2) * (x + 1) * x * (x - 1) // 24 + 1
         assert (code, out.strip()) == (0, str(want))
 
+    @pytest.mark.parametrize("n", ["8000", "3000000"])
+    def test_radial_rank_too_long_refused(self, capsys, n):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "radial-rank", "--n", n, "--degree", n)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: Y_%s(%s) has more than 4300 digits\n" % (n, n)
+
+    def test_radial_rank_long_answer(self, capsys):
+        code, out, _ = run(capsys, "radial-rank", "--n", "5000",
+                           "--degree", "5000")
+        assert code == 0 and out == "%d\n" % C.radial_rank(5000, 5000)
+        assert len(out.strip()) == 3012
+
     def test_subdivide(self, capsys, tmin_file):
         code, out, _ = run(capsys, "subdivide", tmin_file, "--n", "4")
         assert code == 0
@@ -223,9 +237,34 @@ class TestVerbs:
         a.write_text(path_tree([5, 5]))
         b = tmp_path / "b.tree"
         b.write_text(path_tree([6, 6]))
-        # equal b1 (310) at different n is refused
+        # equal b1 (310) at different n, but b2 276 against 100
         code, out, err = run(capsys, "iso", str(a), str(b),
                              "--na", "5", "--nb", "4")
+        assert (code, out.strip(), err) == (1, "not isomorphic", "")
+
+    def test_iso_across_n_equal_betti_refused(self, capsys, tmp_path,
+                                              monkeypatch):
+        a = tmp_path / "a.tree"
+        a.write_text(path_tree([5, 5]))
+        b = tmp_path / "b.tree"
+        b.write_text(path_tree([6, 6]))
+        monkeypatch.setattr(C, "_betti", lambda t, n: (310, 7))
+        code, out, err = run(capsys, "iso", str(a), str(b),
+                             "--na", "5", "--nb", "4")
+        assert (code, out) == (2, "")
+        assert err == ("error: isomorphism across strand counts is "
+                       "undecided: (b1, b2) = (310, 7) at n = 5 and at "
+                       "n = 4\n")
+
+    def test_iso_huge_n_refused_fast(self, capsys, tmp_path):
+        a = tmp_path / "a.tree"
+        a.write_text(path_tree([6, 6]))
+        b = tmp_path / "b.tree"
+        b.write_text(path_tree([5, 5]))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "iso", str(a), str(b),
+                             "--na", "4", "--nb", "1000000")
+        assert time.perf_counter() - start < 1
         assert (code, out) == (2, "") and err.startswith("error: ")
 
     def test_iso_requires_n(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import time
 import tracemalloc
 from collections import defaultdict
 from itertools import combinations, product
@@ -338,18 +339,9 @@ class TestReconstruct:
     def test_root_choice_irrelevant(self, tmin5):
         t, dg = tmin5
         h = D.hierarchy(dg)
-        codes = {T.canonical_form(D.reconstruct_tree(dg, 5, root=r))
+        codes = {T.canonical_form(D._reconstruct(dg, 5, r))
                  for r in h.maximal}
         assert len(codes) == 1
-
-    def test_root_must_be_maximal(self, tmin5):
-        t, dg = tmin5
-        h = D.hierarchy(dg)
-        non_max = next(
-            (i for i in range(len(h.ns)) if i not in h.maximal), None)
-        if non_max is not None:
-            with pytest.raises(ValueError):
-                D.reconstruct_tree(dg, 5, root=non_max)
 
     def test_exceptional_linear_case(self):
         # linear trees with three essential vertices take the special
@@ -484,10 +476,48 @@ class TestDecide:
     def test_across_n(self):
         t = T.parse_tree(T_MIN)
         assert not D.decide_isomorphic((t, 4), (t, 5))  # b1 24 against 40
-        # b1 = 310 on both sides: refused, not guessed
-        with pytest.raises(ValueError, match="strand counts"):
-            D.decide_isomorphic((T.parse_tree(path_tree([5, 5])), 5),
-                                (T.parse_tree(path_tree([6, 6])), 4))
+        # b1 = 310 on both sides, b2 276 against 100 (|E| of the Delta)
+        p55, p66 = (T.parse_tree(path_tree(d)) for d in ([5, 5], [6, 6]))
+        assert not D.decide_isomorphic((p55, 5), (p66, 4))
+        assert not D.decide_isomorphic(
+            (p55, 5), D.build_delta(T.subdivide_for(p66, 4), 4))
+
+    def test_across_n_equal_betti_refused(self, monkeypatch):
+        # no two trees are known to share (b1, b2) across n: pretend
+        a, b = (T.parse_tree(path_tree(d)) for d in ([5, 5], [6, 6]))
+        dg = D.build_delta(T.subdivide_for(b, 4), 4)
+        D.reconstruct_tree(dg, 4)  # grown and kept before the patch
+        monkeypatch.setattr(C, "_betti", lambda t, n: (310, 7))
+        with pytest.raises(ValueError, match=r"strand counts is undecided: "
+                           r"\(b1, b2\) = \(310, 7\) at n = 5 and at n = 4"):
+            D.decide_isomorphic((a, 5), (b, 4))
+        # a Delta input, whose grown tree is read, is refused the same way
+        with pytest.raises(ValueError, match=r"\(310, 7\) at n = 5"):
+            D.decide_isomorphic((a, 5), dg)
+
+    @given(trees(2, 4, 3, 6), trees(2, 4, 3, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_across_n_by_betti(self, text4, text5):
+        # two non-free groups at n = 4 and n = 5: differing (b1, b2)
+        # answer False, equal ones are refused, and True is never said
+        t4, t5 = T.parse_tree(text4), T.parse_tree(text5)
+        same = C._betti(t4, 4) == C._betti(t5, 5)
+        try:
+            answer = D.decide_isomorphic((t4, 4), (t5, 5))
+        except ValueError:
+            assert same
+        else:
+            assert answer is False and not same
+
+    def test_across_n_large_n_refused_fast(self, monkeypatch):
+        # n is checked before b2 is read: the CUB quotient at n = 10^6
+        # would have about 5e11 join entries
+        monkeypatch.setattr(C, "_betti", None)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="requires n in"):
+            D.decide_isomorphic((T.parse_tree(path_tree([6, 6])), 4),
+                                (T.parse_tree(path_tree([5, 5])), 10 ** 6))
+        assert time.perf_counter() - start < 1
 
     def test_tree_inputs_build_no_delta(self, monkeypatch):
         tmin = T.parse_tree(T_MIN)
@@ -645,7 +675,7 @@ class TestTemplateCache:
 class TestSerialization:
     def test_json_round_trip(self, tmin4):
         t, dg = tmin4
-        obj = json.loads(D.delta_to_json_text(dg))
+        obj = json.loads(json.dumps(dg.to_json(), indent=2, sort_keys=True))
         dg2 = D.DeltaGraph.from_json(obj)
         assert dg2.edges == dg.edges
         assert dg2.cells == dg.cells
