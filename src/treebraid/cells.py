@@ -201,18 +201,12 @@ def template_joins(t, n, template, decide):
 
 
 def count_critical_cells(t, n):
-    """(b_1, b_2) of B_nT, the numbers of critical 1- and 2-cells, read
-    from the tree: b_1 is the sum of Y_n(deg a) over the essential
-    vertices a, and b_2 the sum over joined keys of cub_quotient of the
-    product of their sizes.  Requires t subdivided for n+2 strands."""
-    if not _tree.is_sufficiently_subdivided(t, n + 2):
-        raise ValueError("tree is not sufficiently subdivided for n+2 strands")
-    return _betti(t, n)
-
-
-def _betti(t, n):
-    """count_critical_cells(t, n) for any t: the sums read only degrees
-    and directions, which subdivision keeps."""
+    """(b_1, b_2) of B_nT, the numbers of critical 1- and 2-cells of
+    the subdivision of t for n strands, read from t itself: b_1 is the
+    sum of Y_n(deg a) over the essential vertices a, and b_2 the sum
+    over joined keys of cub_quotient of the product of their sizes.  The
+    sums read only degrees and directions, which subdivision keeps, so t
+    may be any tree."""
     sizes, joins = cub_quotient(t, n)
     b1 = sum(radial_rank(n, t.degree(a)) for a in _tree.essential_vertices(t))
     return b1, sum(sizes[p] * sizes[q] for p in joins for q in joins[p]) // 2

@@ -168,11 +168,9 @@ def cmd_presentation(args):
     _, t = _load_subdivided(args.tree, args.n)
     n = args.n
     kverts, edges = _forms.build_complex_K(t, n)
-    index = {c: i for i, c in enumerate(kverts)}
     out = {
         "vertices": [c.to_json() for c in kverts],
-        "edges": sorted(sorted((index[a], index[b])) for a, b in
-                        (tuple(e) for e in edges)),
+        "edges": sorted(map(list, edges)),
         "relations": [],
     }
     # coboundary support chains of the necessary forms f(a,x) and
@@ -180,9 +178,9 @@ def cmd_presentation(args):
     # its one necessary cell
     order = _forms.ROrder(t, n)
     forms = [f for f in _forms.basic_0forms(order.cells)
-             if _forms.is_necessary(f, t, n) is not None]
+             if _forms.is_necessary(f, t) is not None]
     for c in order.cells:
-        forms.extend(_forms.necessary_witnesses(c, t, n, order))
+        forms.extend(_forms.necessary_witnesses(c, t, order))
     for form in forms:
         out["relations"].append({
             "form": str(form),
@@ -200,11 +198,11 @@ def build_parser():
         description="Discrete-Morse invariants of tree braid groups.")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, tree_arg=True, n_default=4):
+    def add(name, fn, tree_arg=True):
         sp = sub.add_parser(name)
         if tree_arg:
             sp.add_argument("tree", help="plane-tree file ('-' for stdin)")
-        sp.add_argument("--n", type=int, default=n_default)
+        sp.add_argument("--n", type=int, default=4)
         sp.set_defaults(fn=fn)
         return sp
 

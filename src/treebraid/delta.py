@@ -8,7 +8,6 @@ Delta, strand-count detection, and the isomorphism decision, n in {4, 5}.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Set
 from functools import cache, cached_property
 from itertools import chain, combinations, repeat
 from operator import itemgetter
@@ -58,7 +57,7 @@ class DeltaGraph:
     adjacent, and two twin classes are joined completely or not at all.
     So classes[k], the sorted members of class k (classes ordered by
     least member), and ns[k], the frozenset of class ids joined to k,
-    determine the graph; edges is a read-only set view of the frozenset
+    determine the graph; edges is a read-only view of the frozenset
     index pairs they stand for (_EdgeView), counted without expanding.
     """
 
@@ -108,7 +107,7 @@ class DeltaGraph:
 
     @cached_property
     def edges(self):
-        """The frozenset index pairs, as a set view over the quotient."""
+        """The frozenset index pairs, as a view over the quotient."""
         return _EdgeView(self.classes, self.ns)
 
     def to_json(self):
@@ -161,20 +160,14 @@ class DeltaGraph:
         return "\n".join(lines)
 
 
-class _EdgeView(Set):
+class _EdgeView:
     """The edges of a DeltaGraph read off its twin quotient: the pairs
     {u, v} with u in class k, v in class j and j in ns[k].  len sums
     |C_k| |C_j| over joined classes k < j; iteration expands each pair
-    once; a pair is in the view when the classes of its ends are joined.
-    & and | give plain sets."""
+    once."""
 
     def __init__(self, classes, ns):
         self._classes, self._ns = classes, ns
-        self._cls = None  # vertex -> class id, built by the first `in`
-
-    @classmethod
-    def _from_iterable(cls, it):
-        return set(it)
 
     def __len__(self):
         sizes = list(map(len, self._classes))
@@ -189,36 +182,26 @@ class _EdgeView(Set):
                     yield from (frozenset((u, v))
                                 for u in members for v in classes[j])
 
-    def __contains__(self, e):
-        if not isinstance(e, (set, frozenset)) or len(e) != 2 \
-                or {type(v) for v in e} != {int}:
-            return False
-        if self._cls is None:
-            self._cls = {v: k for k, members in enumerate(self._classes)
-                         for v in members}
-        k, j = map(self._cls.get, e)
-        return k is not None and j is not None and j in self._ns[k]
-
 
 # ---------------------------------------------------------------------------
 # cup constants and the edge test
 
 
-def cup_constant(c, dprime, n):
+def cup_constant(c, dprime):
     """epsilon_c(d'): 0 if d' = 0 or d' > d; 0 if 0 < d' < d and some
-    other index in (0, d) is occupied; 0 if c is exceptional of Type I;
-    else 1."""
+    other index in (0, d) is occupied; 0 if c is exceptional of Type I
+    (a 5-strand cell, see forms.classify_exceptional); else 1."""
     if dprime == 0 or dprime > c.d:
         return 0
     if 0 < dprime < c.d and any(
             c.x[i] > 0 for i in range(1, c.d) if i != dprime):
         return 0
-    if n == 5 and _forms.classify_exceptional(c, n) == "I":
+    if _forms.classify_exceptional(c) == "I":
         return 0
     return 1
 
 
-def m_cup_adjacent(c, cp, t, n):
+def m_cup_adjacent(c, cp, t):
     """Whether Mc* cup M(cp)* is nonzero, by the combinatorial
     characterization: keyed to the <_r-smaller cell s of the pair,
     (1) s not Type I/II and the least upper bound is critical,
@@ -230,7 +213,7 @@ def m_cup_adjacent(c, cp, t, n):
     # <_r sorts by vertex first, and c.a != cp.a
     small, other = (c, cp) if c.a < cp.a else (cp, c)
     s_critical = _cells.lub_is_critical(c, cp, t)
-    kind = _forms.classify_exceptional(small, n) if n == 5 else None
+    kind = _forms.classify_exceptional(small)
     if kind == "I":
         return not s_critical
     if kind == "II":
@@ -240,16 +223,17 @@ def m_cup_adjacent(c, cp, t, n):
     return s_critical
 
 
-def cub_label(c, n):
-    """(delta, k): the direction of a critical cell c (n <= 5) with CUB
-    number k = x[delta] - cup_constant(c, delta, n) >= 2, or ().  Of a
-    Type I or II cell's two, dir1 < dir2, Type I takes dir1, II dir2."""
+def cub_label(c):
+    """(delta, k): the direction of a critical cell c of at most five
+    strands with CUB number k = x[delta] - cup_constant(c, delta) >= 2,
+    or ().  Of a Type I or II cell's two, dir1 < dir2, Type I takes
+    dir1, II dir2."""
     dirs = [i for i, v in enumerate(c.x) if v >= 2]  # cup_constant >= 0
-    kind = len(dirs) == 2 and _forms.classify_exceptional(c, n)
+    kind = len(dirs) == 2 and _forms.classify_exceptional(c)
     if kind in ("I", "II"):
         dirs = [dirs[0 if kind == "I" else 1]]
     for delta in dirs:
-        k = c.x[delta] - cup_constant(c, delta, n)
+        k = c.x[delta] - cup_constant(c, delta)
         if k >= 2:
             return delta, k
     return ()
@@ -264,7 +248,7 @@ def _labelled_template(n, deg):
     template = tuple(_forms.ROrder.template(n, deg, critical=True))
     labelled = []
     for p, (d, x) in enumerate(template):
-        label = cub_label(ReducedOneCell(0, d, x), n)
+        label = cub_label(ReducedOneCell(0, d, x))
         if label:
             labelled.append((p, *label))
     return template, tuple(labelled)
@@ -379,8 +363,9 @@ def _solve_Y(m, target):
 
 
 def _grow_tree(children_of, pdeg):
-    """Plane tree text: * - p_1 - (H subtrees + leaves), each vertex v
-    padded with leaf edges up to its target degree pdeg[v]."""
+    """Plane tree text: * - p_1 - (subtrees + leaves), children_of[v]
+    listing the children of v in order from "p1" down, and each vertex
+    v padded with leaf edges up to its target degree pdeg[v]."""
     out = ["("]
     # a list [v] opens vertex v; a string is the text that closes one
     todo = [")", ["p1"]]
@@ -401,8 +386,8 @@ def reconstruct_tree(delta, n):
     """The tree T_Delta grown from the neighborhood hierarchy (see
     _reconstruct).  Raises Undefined when the complex is not a tree
     braid Delta, in particular when the grown tree's Betti numbers are
-    not (|V|, |E|) of Delta (a radial tree has them by the choice of its
-    degree).  The outcome is kept with delta, one per n (_grow)."""
+    not (|V|, |E|) of Delta.  The outcome is kept with delta, one per n
+    (_grow)."""
     if n not in (4, 5):
         raise ValueError("n must be 4 or 5")
     grown = _grow(delta, n)
@@ -426,14 +411,16 @@ def _grow(delta, n):
 def _reconstruct(delta, n, root=None):
     """The tree grown from the hierarchy of the <=_N-maximal class root
     (default: the first; every maximal class grows the same tree),
-    following the Y-degree equations; radial when delta has no edges."""
+    following the Y-degree equations; radial when delta has no edges.
+    Every branch grows its text with _grow_tree and returns through the
+    one check _counted."""
     if not delta.classes:  # every neighborhood empty: radial (free group)
         deg = _solve_Y(n, delta.num_vertices)
         if deg is None:
             raise Undefined(
                 "no radial tree: |Delta| = %d is not a Y_%d value"
                 % (delta.num_vertices, n))
-        return _tree.parse_tree("((" + "()" * (deg - 1) + "))")
+        return _counted(delta, n, _grow_tree({}, {"p1": deg}))
     h = hierarchy(delta)
     root = h.maximal[0] if root is None else root
     desc = sorted(h.below[root])
@@ -456,9 +443,8 @@ def _reconstruct(delta, n, root=None):
         cdeg = _solve_Y(2, sum(len(h.classes[k]) for k in h.ns[w]))
         if a is None or yb is None or cdeg is None:
             raise Undefined("no degrees solve the exceptional equations")
-        mid = "(" + "()" * (cdeg - 1) + ")" + "()" * (yb - 2)
-        return _counted(delta, n, _tree.parse_tree(
-            "((" + "(" + mid + ")" + "()" * (a - 2) + "))"))
+        return _counted(delta, n, _grow_tree(
+            {"p1": ["x"], "x": ["y"]}, {"p1": a, "x": yb, "y": cdeg}))
 
     # H must be a tree rooted at p1: children are taken in the full
     # hierarchy H', then restricted to the surviving vertices (pruning
@@ -489,13 +475,14 @@ def _reconstruct(delta, n, root=None):
     pdeg["p1"] = _solve_Y(2, len(h.classes[root]))
     if pdeg["p1"] is None:
         raise Undefined("pdeg_1 undefined")
-    return _counted(delta, n, _tree.parse_tree(_grow_tree(children_of, pdeg)))
+    return _counted(delta, n, _grow_tree(children_of, pdeg))
 
 
-def _counted(delta, n, t):
-    """t, if its (b_1, b_2) at n is (|V|, |E|) of delta; else raise
-    Undefined."""
-    b = _cells._betti(t, n)
+def _counted(delta, n, text):
+    """The tree of the text, if its (b_1, b_2) at n is (|V|, |E|) of
+    delta; else raise Undefined."""
+    t = _tree.parse_tree(text)
+    b = _cells.count_critical_cells(t, n)
     want = (delta.num_vertices, len(delta.edges))
     if b != want:
         raise Undefined("the grown tree has (b1, b2) = %s, Delta has "
@@ -569,7 +556,8 @@ def decide_isomorphic(spec1, spec2):
     if n1 != n2:
         # b2 only now, with both n in {4, 5}: the closed form builds the
         # CUB quotient, whose size grows with n
-        pair1, pair2 = _cells._betti(t1, n1), _cells._betti(t2, n2)
+        pair1 = _cells.count_critical_cells(t1, n1)
+        pair2 = _cells.count_critical_cells(t2, n2)
         if pair1 != pair2:
             return False
         raise ValueError("isomorphism across strand counts is undecided: "

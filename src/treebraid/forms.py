@@ -211,7 +211,7 @@ def coboundary_oracle_check(form, t, complex_, index):
 # necessary forms and annihilators
 
 
-def is_necessary(form, t, n):
+def is_necessary(form, t):
     """The necessary reduced 1-cell of the form, or None.
 
     k=0: f(a,x) is necessary iff (a,d*,x), d* the smallest direction
@@ -286,9 +286,10 @@ def _exceptional_dirs(c):
     return dir1, dir2, dir3
 
 
-def classify_exceptional(c, n):
-    """"I", "II", "III", or None.  Exceptional cells exist only at n=5."""
-    if n != 5 or sum(c.x) != 5 or not _cells.is_critical(c):
+def classify_exceptional(c):
+    """"I", "II", "III", or None.  Exceptional cells exist only at n = 5,
+    and a cell's strand count is the sum of its a-vector."""
+    if sum(c.x) != 5 or not _cells.is_critical(c):
         return None
     dirs = _exceptional_dirs(c)
     if dirs is None:
@@ -304,10 +305,10 @@ def classify_exceptional(c, n):
     return None
 
 
-def corresponding_cell(c, n):
+def corresponding_cell(c):
     """The Type II cell matching a Type I cell and vice versa (same a
     and x; the edge moves between directions dir2 and dir3)."""
-    kind = classify_exceptional(c, n)
+    kind = classify_exceptional(c)
     if kind not in ("I", "II"):
         raise ValueError("cell has no corresponding exceptional partner")
     dir1, dir2, dir3 = _exceptional_dirs(c)
@@ -344,8 +345,8 @@ class ROrder:
         (n = 5) takes the d of its corresponding cell.  The pair shares
         a and x, so the two trade places and the Type II cell is the
         smaller."""
-        if classify_exceptional(c, sum(c.x)) in ("I", "II"):
-            return (c.a, -c.x[0], corresponding_cell(c, 5).d, c.x)
+        if classify_exceptional(c) in ("I", "II"):
+            return (c.a, -c.x[0], corresponding_cell(c).d, c.x)
         return (c.a, -c.x[0], c.d, c.x)
 
     @staticmethod
@@ -389,7 +390,7 @@ def mat_mul(a_cols, b_cols):
 # the matrices M_omega, M_c, Ms, Mt, M
 
 
-def u_vector(form, t, n, order):
+def u_vector(form, t, order):
     """u_omega: indicator bitmask of the nonzero terms of
     A_{c_1..c_k}(df(a,x)) in ROrder coordinates."""
     df = differential(BasicForm(form.base, ()), t)
@@ -399,7 +400,7 @@ def u_vector(form, t, n, order):
     return u
 
 
-def necessary_witnesses(c, t, n, order):
+def necessary_witnesses(c, t, order):
     """All necessary 1-forms f(a,x)dc_1, c_1 critical, whose necessary
     cell is c, in the <_r order of c_1.
 
@@ -421,7 +422,7 @@ def necessary_witnesses(c, t, n, order):
 
     def is_witness(c1):
         return (_cells.upper_bound_exists(c, c1, t)
-                and is_necessary(BasicForm(base, (c1,)), t, n) == c)
+                and is_necessary(BasicForm(base, (c1,)), t) == c)
 
     out = []
     for run in order.critical_runs:
@@ -434,7 +435,7 @@ def necessary_witnesses(c, t, n, order):
     return out
 
 
-def _column_M_c(c, t, n, order):
+def _column_M_c(c, t, order):
     """The ri(c)-th column of M_c (all other columns are identity).
 
     noncritical: u_omega of the 0-form f(a,x) with the diagonal bit
@@ -445,13 +446,13 @@ def _column_M_c(c, t, n, order):
     """
     j = order.ri[c]
     if not _cells.is_critical(c):
-        u = u_vector(BasicForm((c.a, c.x), ()), t, n, order)
+        u = u_vector(BasicForm((c.a, c.x), ()), t, order)
         return u & ~(1 << j)
-    kind = classify_exceptional(c, n)
+    kind = classify_exceptional(c)
     if kind == "I":
         return 1 << j
     if kind == "II":
-        return (1 << j) | (1 << order.ri[corresponding_cell(c, n)])
+        return (1 << j) | (1 << order.ri[corresponding_cell(c)])
     if kind == "III":
         u = 1 << j
         for i in range(1, t.degree(c.a)):
@@ -462,10 +463,10 @@ def _column_M_c(c, t, n, order):
             y[i] += 1
             u |= 1 << order.ri[ReducedOneCell(c.a, c.d, tuple(y))]
         return u
-    witnesses = necessary_witnesses(c, t, n, order)
+    witnesses = necessary_witnesses(c, t, order)
     if not witnesses:
         return 1 << j
-    return u_vector(witnesses[0], t, n, order)
+    return u_vector(witnesses[0], t, order)
 
 
 def build_M(t, n, order=None):
@@ -479,12 +480,12 @@ def build_M(t, n, order=None):
     for c in order.cells:  # increasing <_r; leftmost factor first
         if _cells.is_critical(c):
             j = order.ri[c]
-            ms[j] = mat_vec(ms, _column_M_c(c, t, n, order))
+            ms[j] = mat_vec(ms, _column_M_c(c, t, order))
     mt = identity_matrix(order.rm)
     for c in reversed(order.cells):  # decreasing <_r
         if not _cells.is_critical(c):
             j = order.ri[c]
-            mt[j] = mat_vec(mt, _column_M_c(c, t, n, order))
+            mt[j] = mat_vec(mt, _column_M_c(c, t, order))
     return ms, mt, mat_mul(mt, ms)
 
 
@@ -493,15 +494,15 @@ def build_M(t, n, order=None):
 
 
 def build_complex_K(t, n):
-    """K for n in {4,5}: vertices are all non-extraneous reduced
-    1-cells, edges the pairs of classes with an upper bound.
-    template_joins decides upper_bound_exists once per (degree, alpha,
-    y0) and template position."""
+    """(cells, edges): K for n in {4,5}.  Its vertices are all
+    non-extraneous reduced 1-cells, and edges holds the index pairs
+    (i, j), i < j, of the cells whose classes have an upper bound, each
+    pair once.  template_joins decides upper_bound_exists once per
+    (degree, alpha, y0) and template position."""
     cells, joins = _cells.template_joins(
         t, n, lambda deg: _cells.degree_template(n, deg),
         lambda c1, c2: _cells.upper_bound_exists(c1, c2, t))
-    edges = {frozenset((cells[i + p], cells[j])) for i, ps, bucket in joins
-             for p in ps for j in bucket}
+    edges = [(i + p, j) for i, ps, bucket in joins for p in ps for j in bucket]
     return cells, edges
 
 

@@ -345,7 +345,7 @@ def verify_morse_counts(t, n, budget=SWIATKOWSKI_BUDGET):
     says skipped."""
     from . import cells as _cells
 
-    c1, c2 = _cells.count_critical_cells(_tree.subdivide_for(t, n), n)
+    c1, c2 = _cells.count_critical_cells(t, n)
     report = {
         "tree": _tree.to_text(t),
         "n": n,

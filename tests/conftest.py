@@ -109,7 +109,7 @@ def check_closed_quotient(t, n, cells, edges):
     sizes, joins = C.cub_quotient(t, n)
     classes = {}
     for i, c in enumerate(cells):
-        key = (c.a, *D.cub_label(c, n))
+        key = (c.a, *D.cub_label(c))
         if key in sizes:
             classes.setdefault(key, []).append(i)
     assert {key: len(members) for key, members in classes.items()} == sizes

@@ -89,7 +89,7 @@ def test_criterion_02_counting_identities(store):
                 C.radial_rank(n, t.degree(a)) for a in ess)
             # the cells labelled (a, d, k) by cub_label, against the
             # refined count and the sizes of the closed quotient
-            keys = [(c.a, *D.cub_label(c, n)) for c in dg.cells]
+            keys = [(c.a, *D.cub_label(c)) for c in dg.cells]
             sizes, _ = C.cub_quotient(t, n)
 
             def refined(a, d):
@@ -199,18 +199,18 @@ def test_criterion_07_matrix_properties(store):
         ms, mt, m = store.matrices(s, n)
         for c in order.cells:
             j = order.ri[c]
-            col = F._column_M_c(c, t, n, order)
+            col = F._column_M_c(c, t, order)
             assert col & ((1 << j) - 1) == 0, (s, c)  # lower triangular
         assert E.is_invertible(ms), s
         assert E.is_lower_triangular(m), s
         for c in order.critical:
-            if F.classify_exceptional(c, n) == "II":
-                ci = F.corresponding_cell(c, n)
+            if F.classify_exceptional(c) == "II":
+                ci = F.corresponding_cell(c)
                 want = (1 << order.ri[c]) | (1 << order.ri[ci])
                 assert m[order.ri[c]] == want, (s, c)  # M dc2 = dc1 + dc2
-            elif not F.classify_exceptional(c, n):
-                vecs = {F.u_vector(w, t, n, order)
-                        for w in F.necessary_witnesses(c, t, n, order)}
+            elif not F.classify_exceptional(c):
+                vecs = {F.u_vector(w, t, order)
+                        for w in F.necessary_witnesses(c, t, order)}
                 assert len(vecs) <= 1, (s, c)  # witness independence
     dt = time.time() - t0
     _report(7, True, "all corpus trees at n=5, %.1fs" % dt)
@@ -256,7 +256,7 @@ def test_criterion_09_cross_characterization(store):
                             for i in range(order.rm) if col >> i & 1]
             _, joins = C.cub_quotient(t, n)
             joined = {key: set(others) for key, others in joins.items()}
-            keys = {c: (c.a, *D.cub_label(c, n)) for c in crit}
+            keys = {c: (c.a, *D.cub_label(c)) for c in crit}
             nf_cache = {}
 
             def nf(u, v):
@@ -267,7 +267,7 @@ def test_criterion_09_cross_characterization(store):
 
             for i, c1 in enumerate(crit):
                 for c2 in crit[i + 1:]:
-                    adj = D.m_cup_adjacent(c1, c2, t, n)
+                    adj = D.m_cup_adjacent(c1, c2, t)
                     acc = set()
                     for u in terms[c1]:
                         for v in terms[c2]:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from treebraid import cells as C, delta as D, tree as T
 
 import explicit as E
-from conftest import T_MIN, path_tree, radial_tree
+from conftest import T_MIN, path_tree, radial_tree, trees
 
 
 def _cells_of(text, n):
@@ -153,6 +153,15 @@ class TestCounting:
                     for a in T.essential_vertices(t))
                 assert c1 == sum(map(C.is_critical,
                                      C.enumerate_reduced_1cells(t, n)))
+
+    @given(trees(1, 4, 3, 6), st.integers(2, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_any_tree(self, text, n):
+        # subdivision keeps degrees and directions, so a tree and its
+        # subdivision for n strands have the same counts
+        t = T.parse_tree(text)
+        assert C.count_critical_cells(t, n) \
+            == C.count_critical_cells(T.subdivide_for(t, n), n)
 
     def test_radial_rank_closed_form_is_the_sum(self):
         # the sum over directions the closed form replaces

@@ -54,7 +54,7 @@ def scanned_relations(t, n):
         for f in zero_forms for c1 in criticals if f.base[0] != c1.a]
     relations = [{"form": str(form),
                   "support": sorted(map(str, F.differential(form, t)))}
-                 for form in forms if F.is_necessary(form, t, n) is not None]
+                 for form in forms if F.is_necessary(form, t) is not None]
     return sorted(relations, key=lambda r: r["form"])
 
 
@@ -248,7 +248,7 @@ class TestVerbs:
         a.write_text(path_tree([5, 5]))
         b = tmp_path / "b.tree"
         b.write_text(path_tree([6, 6]))
-        monkeypatch.setattr(C, "_betti", lambda t, n: (310, 7))
+        monkeypatch.setattr(C, "count_critical_cells", lambda t, n: (310, 7))
         code, out, err = run(capsys, "iso", str(a), str(b),
                              "--na", "5", "--nb", "4")
         assert (code, out) == (2, "")

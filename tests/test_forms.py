@@ -81,7 +81,7 @@ class TestNecessary:
     def test_zero_form_cells_noncritical(self, tmin4):
         t, cells = tmin4
         for form in F.basic_0forms(cells):
-            nec = F.is_necessary(form, t, 4)
+            nec = F.is_necessary(form, t)
             if nec is not None:
                 assert not C.is_critical(nec)
                 assert (nec.a, nec.x) == form.base
@@ -94,7 +94,7 @@ class TestNecessary:
             for c1 in crit:
                 if c1.a == c.a:
                     continue
-                nec = F.is_necessary(F.BasicForm((c.a, c.x), (c1,)), t, 5)
+                nec = F.is_necessary(F.BasicForm((c.a, c.x), (c1,)), t)
                 if nec is None:
                     continue
                 hits += 1
@@ -108,13 +108,13 @@ class TestNecessary:
 class TestExceptional:
     def test_only_at_n5(self, tmin4):
         t, cells = tmin4
-        assert all(F.classify_exceptional(c, 4) is None for c in cells)
+        assert all(F.classify_exceptional(c) is None for c in cells)
 
     def test_all_types_present(self, mixed5):
         t, cells = mixed5
         kinds = {}
         for c in cells:
-            k = F.classify_exceptional(c, 5)
+            k = F.classify_exceptional(c)
             if k:
                 kinds[k] = kinds.get(k, 0) + 1
         assert set(kinds) == {"I", "II", "III"}
@@ -123,18 +123,18 @@ class TestExceptional:
     def test_correspondence_involution(self, mixed5):
         t, cells = mixed5
         for c in cells:
-            k = F.classify_exceptional(c, 5)
+            k = F.classify_exceptional(c)
             if k in ("I", "II"):
-                c2 = F.corresponding_cell(c, 5)
+                c2 = F.corresponding_cell(c)
                 assert (c2.a, c2.x) == (c.a, c.x)
                 assert c2.d != c.d
-                assert F.corresponding_cell(c2, 5) == c
-                assert {k, F.classify_exceptional(c2, 5)} == {"I", "II"}
+                assert F.corresponding_cell(c2) == c
+                assert {k, F.classify_exceptional(c2)} == {"I", "II"}
 
     def test_exceptional_are_critical(self, mixed5):
         t, cells = mixed5
         for c in cells:
-            if F.classify_exceptional(c, 5):
+            if F.classify_exceptional(c):
                 assert C.is_critical(c)
 
 
@@ -145,10 +145,10 @@ def sort_then_swap(cells, n):
     cell."""
     cells = sorted(cells, key=lambda c: (c.a, -c.x[0], c.d, c.x))
     if n == 5:
-        type_i = [c for c in cells if F.classify_exceptional(c, n) == "I"]
+        type_i = [c for c in cells if F.classify_exceptional(c) == "I"]
         pos = {c: i for i, c in enumerate(cells)}
         for c in type_i:
-            i, j = pos[c], pos[F.corresponding_cell(c, n)]
+            i, j = pos[c], pos[F.corresponding_cell(c)]
             cells[i], cells[j] = cells[j], cells[i]
     return cells
 
@@ -188,8 +188,8 @@ class TestROrder:
         t, _ = mixed5
         order = F.ROrder(t, 5)
         for c in order.cells:
-            if F.classify_exceptional(c, 5) == "II":
-                assert order.ri[c] < order.ri[F.corresponding_cell(c, 5)]
+            if F.classify_exceptional(c) == "II":
+                assert order.ri[c] < order.ri[F.corresponding_cell(c)]
 
     def test_sorted_off_exceptional(self, tmin4):
         t, _ = tmin4
@@ -228,16 +228,16 @@ class TestMatrices:
         order = F.ROrder(t, 4)
         ms, _, _ = F.build_M(t, 4, order)
         for c in order.critical:
-            assert ms[order.ri[c]] == F._column_M_c(c, t, 4, order)
+            assert ms[order.ri[c]] == F._column_M_c(c, t, order)
 
     def test_witness_independence(self, mixed5):
         t, _ = mixed5
         order = F.ROrder(t, 5)
         for c in order.critical:
-            if F.classify_exceptional(c, 5):
+            if F.classify_exceptional(c):
                 continue
-            vecs = {F.u_vector(w, t, 5, order)
-                    for w in F.necessary_witnesses(c, t, 5, order)}
+            vecs = {F.u_vector(w, t, order)
+                    for w in F.necessary_witnesses(c, t, order)}
             assert len(vecs) <= 1
 
 

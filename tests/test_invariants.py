@@ -83,4 +83,4 @@ class TestForms:
         monkeypatch.setattr(C, "edge_disrespectful_in_lub",
                             lambda *args: (False, True))
         with pytest.raises(RuntimeError):
-            F.is_necessary(F.BasicForm((a, x), (c1,)), t, 4)
+            F.is_necessary(F.BasicForm((a, x), (c1,)), t)

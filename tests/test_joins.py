@@ -60,7 +60,7 @@ def pairwise_delta(t, n):
     edges = set()
     for i in range(len(crit)):
         for j in range(i + 1, len(crit)):
-            if D.m_cup_adjacent(crit[i], crit[j], t, n):
+            if D.m_cup_adjacent(crit[i], crit[j], t):
                 edges.add(frozenset((i, j)))
     return crit, edges
 
@@ -81,7 +81,7 @@ def pairwise_witnesses(c, t, n, order):
         if c1.a == c.a or not C.upper_bound_exists(c, c1, t):
             continue
         form = F.BasicForm((c.a, c.x), (c1,))
-        if F.is_necessary(form, t, n) == c:
+        if F.is_necessary(form, t) == c:
             out.append(form)
     return out
 
@@ -111,7 +111,7 @@ class TestAgainstPairwise:
             crit, edges = pairwise_delta(t, n)
             assert dg.cells == crit
             assert dg.num_vertices == len(crit)
-            assert dg.edges == edges
+            assert set(dg.edges) == edges
             assert dg.classes == twin_classes(edges)
             check_closed_quotient(t, n, crit, edges)
 
@@ -132,16 +132,20 @@ class TestAgainstPairwise:
             expected = {c: pairwise_witnesses(c, t, n, order)
                         for c in order.cells}
             for c in order.cells:
-                assert F.necessary_witnesses(c, t, n, order) == expected[c]
+                assert F.necessary_witnesses(c, t, order) == expected[c]
             m = F.build_M(t, n, order)
             with monkeypatch.context() as patch:
                 patch.setattr(F, "necessary_witnesses",
-                              lambda c, t, n, order: expected[c])
+                              lambda c, t, order: expected[c])
                 assert F.build_M(t, n, order) == m
 
     def test_complex_K(self, n):
         for t in _subdivided(n):
-            assert F.build_complex_K(t, n) == pairwise_K(t, n)
+            cells, pairs = F.build_complex_K(t, n)
+            assert all(i < j for i, j in pairs)
+            assert len(set(pairs)) == len(pairs)
+            edges = {frozenset((cells[i], cells[j])) for i, j in pairs}
+            assert (cells, edges) == pairwise_K(t, n)
 
 
 class TestBuckets:
