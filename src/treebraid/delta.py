@@ -515,12 +515,13 @@ def _invariants(spec):
     the group is free.  On a tree, b1 = sum of Y_n(deg a) over essential
     vertices a, and the group is free iff at most one vertex is
     essential or n <= 3 (a critical 2-cell needs four strands).  A
-    non-free Delta is reconstructed, so a non-Delta raises Undefined;
+    non-free Delta is reconstructed at its n (detected when absent), so
+    a non-Delta raises Undefined and an n outside {4, 5} ValueError;
     b2 is left to decide_isomorphic, which needs it only across n."""
     if isinstance(spec, DeltaGraph):
         if not spec.classes:
             return spec.num_vertices, spec.n, None
-        n = spec.n if spec.n in (4, 5) else detect_n(spec)
+        n = detect_n(spec) if spec.n is None else spec.n
         return spec.num_vertices, n, reconstruct_tree(spec, n)
     t, n = spec
     if n < 2:

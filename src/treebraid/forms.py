@@ -5,6 +5,10 @@ annihilators, the <_r order on reduced 1-cells, the change-of-basis
 matrices M_omega / M_c / Ms / Mt / M, the flag complex K, and normal
 forms for cup products of 1-classes.
 
+coboundary_oracle_check tests d = delta on the brute-force complex of
+oracle.py.  It names that complex's cells only by cell index and edge
+id, through an oracle.OracleIndex, which alone reads their int keys.
+
 GF(2) matrices are stored as lists of columns, each column an int
 bitmask of row indices (bit i of cols[j] is the (i, j) entry).
 """
@@ -15,7 +19,6 @@ from itertools import groupby
 from typing import NamedTuple, Optional
 
 from . import cells as _cells
-from . import tree as _tree
 from .cells import ReducedOneCell
 
 
@@ -126,66 +129,19 @@ def differential(form, t, include_extraneous=False):
         for c in _differential_terms(t, a, x, include_extraneous))
 
 
-class OracleIndex:
-    """Lookup tables over an oracle complex for coboundary_oracle_check,
-    built once per complex from its int cell keys and dropped with it.
-
-    ones[e]: the 1-cells over edge e.  twos[mask]: the 2-cells whose
-    edge bits (bit 2e+1 for edge e) include mask, the bit of one edge or
-    of both.  cofaces[i]: the 2-cells having 1-cell i as a face.
-    profiles[a][bar, x]: the 1-cells whose D-profile (bar False) or
-    D-bar-profile (bar True) at the essential vertex a is x.  All values
-    are lists of cell indices.
-    """
-
-    def __init__(self, t, complex_):
-        one_keys, two_keys = complex_.keys[1:3]
-        odd = sum(2 << 2 * e for e in t.edges())
-        self.ones = {}
-        for i, key in enumerate(one_keys):
-            e = (key & odd).bit_length() // 2 - 1
-            self.ones.setdefault(e, []).append(i)
-        self.twos = {}
-        for s, key in enumerate(two_keys):
-            both = key & odd
-            low = both & -both
-            for mask in (low, both ^ low, both):
-                self.twos.setdefault(mask, []).append(s)
-        self.cofaces = [[] for _ in one_keys]
-        for s, faces in enumerate(complex_.faces[2]):
-            for f in faces:
-                self.cofaces[f].append(s)
-        # _profile on keys: masks[i] holds the bits of the vertices and
-        # edges that count in direction i, and D_{a,i} is a popcount
-        self.profiles = {}
-        for a in _tree.essential_vertices(t):
-            dirs = t.directions(a)
-            by = self.profiles[a] = {}
-            for bar in (False, True):
-                masks = [0] * t.degree(a)
-                for v, i in enumerate(dirs):
-                    masks[i] |= 1 << 2 * v
-                for e in t.edges():
-                    masks[dirs[t.parent[e] if bar else e]] |= 2 << 2 * e
-                for i, key in enumerate(one_keys):
-                    prof = tuple(map(int.bit_count, map(key.__and__, masks)))
-                    by.setdefault((bar, prof), []).append(i)
-
-
-def coboundary_oracle_check(form, t, complex_, index):
+def coboundary_oracle_check(form, t, index):
     """True iff d(form) agrees with the cochain coboundary of form on
-    every 2-cell of complex_, an oracle complex built on t itself (so
-    that vertex ids agree); index is its OracleIndex, and form has a
-    0-form factor f(a,x) with a essential.
+    every 2-cell of an oracle complex built on t itself (so that vertex
+    ids agree); index is its oracle.OracleIndex, and form has a 0-form
+    factor f(a,x) with a essential.
 
     Both sides are compared as sets of 2-cells.  delta(form) is the XOR
     of the cofaces of the 1-cells in the support of the form: cells
     whose D- or D-bar-profile at a is x and that lie over the edge of
     every dc factor.  Each term of d(form) is nonzero only on 2-cells
     containing its edges.  The index only narrows the cells; eval_form
-    decides every value.
+    decides every value, on a cell the index decodes for it.
     """
-    one_cells, two_cells = complex_.cells_by_dim[1:3]
     a, x = form.base
     by = index.profiles[a]
     support = set(by.get((False, x), ())).union(by.get((True, x), ()))
@@ -194,16 +150,14 @@ def coboundary_oracle_check(form, t, complex_, index):
             index.ones.get(t.children[c.a][c.d - 1], ()))
     delta = set()
     for i in support:
-        if eval_form(form, one_cells[i], t):
+        if eval_form(form, index.cell(1, i), t):
             delta.symmetric_difference_update(index.cofaces[i])
     d = set()
     for term in differential(form, t, include_extraneous=True):
-        mask = 0
-        for c in term.factors:
-            mask |= 2 << 2 * t.children[c.a][c.d - 1]
+        edges = frozenset(t.children[c.a][c.d - 1] for c in term.factors)
         d.symmetric_difference_update(
-            s for s in index.twos.get(mask, ())
-            if eval_form(term, two_cells[s], t))
+            s for s in index.twos.get(edges, ())
+            if eval_form(term, index.cell(2, s), t))
     return d == delta
 
 

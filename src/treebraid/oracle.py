@@ -5,9 +5,10 @@ modules, in two complexes.
 The brute-force one is the discretized configuration space UD_nT: cells
 are enumerated directly as sets of n pairwise-disjoint closed vertices
 and edges of a subdivided tree, each held as an int key, with face maps
-(replace each edge by either endpoint).  A cell is decoded into an
-ExplicitCell only where it is read as one.  The d = delta identity is
-checked on it.
+(replace each edge by either endpoint).  The d = delta identity is
+checked on it.  Only this module reads or writes key bits: OracleIndex
+names the cells the check needs by cell index and edge id, and decodes
+a cell into an ExplicitCell only where a form is evaluated on it.
 
 The reduced Świątkowski complex (swiatkowski_betti) needs no
 subdivision and has far fewer cells; the critical-cell counts are
@@ -20,7 +21,6 @@ columns narrowed to the k-cells whose d_k column is dependent.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import NamedTuple
@@ -40,17 +40,14 @@ class CubeComplex:
     """Cells of UD_nT by dimension, with face maps.
 
     A cell is an int key: bit 2v marks an occupied vertex v and bit
-    2e+1 an occupied edge e.  keys[k] lists the dimension-k cells, and
-    faces[k][i] the 2k codim-1 face indices of cell i (faces[0] is
-    None).  cells_by_dim[k] shows keys[k] as a read-only sequence of
-    ExplicitCell, each decoded when it is read.
+    2e+1 an occupied edge e.  cells_by_dim[k] lists the keys of the
+    dimension-k cells, and faces[k][i] the 2k codim-1 face indices of
+    cell i (faces[0] is None).
     """
 
-    def __init__(self, t, keys, faces):
-        self.tree = t
-        self.keys = keys
+    def __init__(self, cells_by_dim, faces):
+        self.cells_by_dim = cells_by_dim
         self.faces = faces
-        self.cells_by_dim = [CellView(ks) for ks in keys]
 
 
 class ExplicitCell(NamedTuple):
@@ -70,25 +67,6 @@ def decode_cell(key):
         (edges if bit & 1 else vertices).append(bit >> 1)
         key ^= low
     return ExplicitCell(frozenset(vertices), frozenset(edges))
-
-
-class CellView(Sequence):
-    """The cells of a list of int keys as a read-only sequence of
-    ExplicitCell.  len reads no key; indexing and iteration decode."""
-
-    __slots__ = ("keys",)
-
-    def __init__(self, keys):
-        self.keys = keys
-
-    def __len__(self):
-        return len(self.keys)
-
-    def __getitem__(self, i):
-        return decode_cell(self.keys[i])
-
-    def __iter__(self):
-        return map(decode_cell, self.keys)
 
 
 def _column(row):
@@ -162,7 +140,63 @@ def build_complex(t, n, max_dim=3, budget=5_000_000):
             faces.append(rows)
         if k < top:
             lower = dict(zip(cells, range(len(cells))))
-    return CubeComplex(t, keys, faces)
+    return CubeComplex(keys, faces)
+
+
+class OracleIndex:
+    """Lookup tables over a CubeComplex for forms.coboundary_oracle_check,
+    built once per complex from its int cell keys and dropped with it.
+    They name cells by index and edges by id, so the check reads no key.
+
+    ones[e]: the 1-cells over edge e.  twos[edges]: the 2-cells whose
+    edges include the frozenset edges, of one edge or of both.
+    cofaces[i]: the 2-cells having 1-cell i as a face.
+    profiles[a][bar, x]: the 1-cells whose D-profile (bar False) or
+    D-bar-profile (bar True) at the essential vertex a is x.  All values
+    are lists of cell indices.
+    """
+
+    def __init__(self, t, complex_):
+        self.complex = complex_
+        one_keys, two_keys = complex_.cells_by_dim[1:3]
+        odd = sum(2 << 2 * e for e in t.edges())
+        self.ones = {}
+        for i, key in enumerate(one_keys):
+            e = (key & odd).bit_length() // 2 - 1
+            self.ones.setdefault(e, []).append(i)
+        twos = {}  # by edge bits, then keyed by edge ids
+        for s, key in enumerate(two_keys):
+            both = key & odd
+            low = both & -both
+            for bits in (low, both ^ low, both):
+                twos.setdefault(bits, []).append(s)
+        self.twos = {
+            frozenset(e for e in range(bits.bit_length() // 2)
+                      if bits >> 2 * e + 1 & 1): cells
+            for bits, cells in twos.items()}
+        self.cofaces = [[] for _ in one_keys]
+        for s, faces in enumerate(complex_.faces[2]):
+            for f in faces:
+                self.cofaces[f].append(s)
+        # _profile on keys: masks[i] holds the bits of the vertices and
+        # edges that count in direction i, and D_{a,i} is a popcount
+        self.profiles = {}
+        for a in _tree.essential_vertices(t):
+            dirs = t.directions(a)
+            by = self.profiles[a] = {}
+            for bar in (False, True):
+                masks = [0] * t.degree(a)
+                for v, i in enumerate(dirs):
+                    masks[i] |= 1 << 2 * v
+                for e in t.edges():
+                    masks[dirs[t.parent[e] if bar else e]] |= 2 << 2 * e
+                for i, key in enumerate(one_keys):
+                    prof = tuple(map(int.bit_count, map(key.__and__, masks)))
+                    by.setdefault((bar, prof), []).append(i)
+
+    def cell(self, k, i):
+        """The ExplicitCell of the i-th cell of dimension k."""
+        return decode_cell(self.complex.cells_by_dim[k][i])
 
 
 def _independent(columns):
@@ -239,9 +273,9 @@ def betti(complex_):
     Requires the complex built through dimension min(3, n) so that the
     image of d_3 is available for b_2 (d_3 is zero when absent).
     """
-    return _homology(
-        list(map(len, complex_.keys)),
-        lambda k: enumerate(complex_.faces[k] if k else complex_.keys[0]))
+    keys, faces = complex_.cells_by_dim, complex_.faces
+    return _homology(list(map(len, keys)),
+                     lambda k: enumerate(faces[k] if k else keys[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -382,34 +416,23 @@ def verify_d_equals_delta(t, n, forms_sample, rng=None):
         raise ValueError("forms sample must be >= 0, got %d" % forms_sample)
     rng = rng or random.Random(0)
     ts = _tree.subdivide_for(t, n)
+    report = {"tree": _tree.to_text(t), "n": n}
     try:
         cx = build_complex(ts, n, max_dim=2)
     except BudgetExceeded as exc:
-        return {"tree": _tree.to_text(t), "n": n, "skipped": str(exc),
-                "pass": None}
-    index = _forms.OracleIndex(ts, cx)
+        report["skipped"] = str(exc)
+        report["pass"] = None
+        return report
+    index = OracleIndex(ts, cx)
     all_cells = _cells.enumerate_reduced_1cells(ts, n)
-    checked = 0
-    failures = []
-
-    def check(form):
-        nonlocal checked
-        ok = _forms.coboundary_oracle_check(form, ts, cx, index)
-        checked += 1
-        if not ok:
-            failures.append(form)
-
-    for form in _forms.basic_0forms(all_cells):
-        check(form)
     pairs = [
         (c, c1) for c in all_cells for c1 in all_cells if c.a != c1.a]
     rng.shuffle(pairs)
-    for c, c1 in pairs[:forms_sample]:
-        check(_forms.BasicForm((c.a, c.x), (c1,)))
-    return {
-        "tree": _tree.to_text(t),
-        "n": n,
-        "checked": checked,
-        "pass": not failures,
-        "failures": [str(f) for f in failures[:5]],
-    }
+    forms = _forms.basic_0forms(all_cells) + [
+        _forms.BasicForm((c.a, c.x), (c1,)) for c, c1 in pairs[:forms_sample]]
+    failures = [form for form in forms
+                if not _forms.coboundary_oracle_check(form, ts, index)]
+    report["checked"] = len(forms)
+    report["pass"] = not failures
+    report["failures"] = [str(f) for f in failures[:5]]
+    return report

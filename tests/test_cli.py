@@ -498,6 +498,23 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == "error: n must be 4 or 5\n"
 
+    @pytest.mark.parametrize("file_n", [3, 7])
+    def test_iso_delta_bad_n_exit_2(self, capsys, tmp_path, tmin_file,
+                                    file_n):
+        # refused as reconstruct refuses it; an edgeless Delta (a free
+        # group) still answers by rank
+        _, out, _ = run(capsys, "delta", tmin_file, "--n", "4")
+        obj = dict(json.loads(out), n=file_n)
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps(obj))
+        assert run(capsys, "iso", "--delta", str(p), str(p)) \
+            == (2, "", "error: n must be 4 or 5\n")
+        free = tmp_path / "free.json"
+        free.write_text(json.dumps(
+            {"n": file_n, "vertices": [{"id": 0}, {"id": 1}], "edges": []}))
+        assert run(capsys, "iso", "--delta", str(free), str(free)) \
+            == (0, "isomorphic\n", "")
+
 
 class TestDeterminism:
     def test_byte_identical(self, capsys, tmin_file):

@@ -1,6 +1,6 @@
 import random
+from collections import Counter
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,22 +60,22 @@ def check_against_reference(t, n):
     and has its faces and Betti numbers."""
     cx = O.build_complex(t, n, max_dim=3)
     ref = reference_complex(t, n)
-    assert [list(cells) for cells in cx.cells_by_dim] == ref
-    ref_faces = reference_faces(SimpleNamespace(tree=t, cells_by_dim=ref))
+    assert decoded(cx).cells_by_dim == ref
+    ref_faces = reference_faces(t, ref)
     assert cx.faces == ref_faces
     assert O.betti(cx) == reference_betti(ref, ref_faces)
 
 
-def reference_faces(cx):
-    """faces[k] found by hashing each face as a frozenset ExplicitCell."""
-    t = cx.tree
+def reference_faces(t, cells_by_dim):
+    """faces[k] of the ExplicitCells cells_by_dim of a complex on t,
+    found by hashing each face as a frozenset ExplicitCell."""
     out = [None]
-    for k in range(1, len(cx.cells_by_dim)):
-        index = {c: i for i, c in enumerate(cx.cells_by_dim[k - 1])}
+    for k in range(1, len(cells_by_dim)):
+        index = {c: i for i, c in enumerate(cells_by_dim[k - 1])}
         out.append([
             [index[ExplicitCell(c.vertices | {u}, c.edges - {e})]
              for e in c.edges for u in (e, t.parent[e])]
-            for c in cx.cells_by_dim[k]])
+            for c in cells_by_dim[k]])
     return out
 
 
@@ -113,10 +113,10 @@ def reference_check(form, t, cx):
 
 
 def decoded(cx):
-    """cx with every cell decoded once, for the scanning references."""
-    return SimpleNamespace(
-        tree=cx.tree, faces=cx.faces,
-        cells_by_dim=[list(cells) for cells in cx.cells_by_dim])
+    """cx with every cell key decoded once into an ExplicitCell, for the
+    scanning references."""
+    return O.CubeComplex([list(map(O.decode_cell, keys))
+                          for keys in cx.cells_by_dim], cx.faces)
 
 
 def forms_to_check(ts, n, sample, seed):
@@ -140,7 +140,7 @@ class TestComplex:
 
     def test_faces_are_faces(self):
         t = O.subdivide_exact(T.parse_tree(radial_tree(3)), 3)
-        cx = O.build_complex(t, 3, max_dim=2)
+        cx = decoded(O.build_complex(t, 3, max_dim=2))
         for k in (1, 2):
             for i, c in enumerate(cx.cells_by_dim[k]):
                 assert len(cx.faces[k][i]) == 2 * k
@@ -160,7 +160,7 @@ class TestComplex:
     def test_int_keyed_faces(self, text, n):
         t = O.subdivide_exact(T.parse_tree(text), n)
         cx = O.build_complex(t, n, max_dim=3)
-        assert cx.faces == reference_faces(cx)
+        assert cx.faces == reference_faces(t, decoded(cx).cells_by_dim)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_reference_on_corpus(self, n):
@@ -199,11 +199,12 @@ class TestComplex:
         cx = O.build_complex(t, 4, max_dim=3)
         assert O.betti(cx) == (1, C.radial_rank(4, 4), 0)
         assert E.check_dd_zero(cx)
-        assert sum(map(len, cx.cells_by_dim)) == sum(map(len, cx.keys))
+        assert {type(key) for keys in cx.cells_by_dim for key in keys} \
+            == {int}
         ts = T.subdivide_for(T.parse_tree(radial_tree(3)), 3)
-        F.OracleIndex(ts, O.build_complex(ts, 3, max_dim=2))
+        index = O.OracleIndex(ts, O.build_complex(ts, 3, max_dim=2))
         with pytest.raises(AssertionError, match="decoded cell"):
-            cx.cells_by_dim[1][0]
+            index.cell(1, 0)
 
     def test_budget(self):
         t = O.subdivide_exact(T.parse_tree(T_MIN), 5)
@@ -256,7 +257,7 @@ def test_betti_rows_narrowed(monkeypatch):
     monkeypatch.setattr(O, "_independent", record)
     t = T.parse_tree("((()(()())()))")
     cx = O.build_complex(O.subdivide_exact(t, 4), 4, max_dim=3)
-    dims = list(map(len, cx.keys))
+    dims = list(map(len, cx.cells_by_dim))
     assert dims == [3876, 12240, 13860, 6682]
     b0, b1, b2 = O.betti(cx)
     rank1 = dims[0] - b0
@@ -357,17 +358,17 @@ def test_indexed_check_matches_scan(text, n):
     # criterion 8's inputs
     ts = T.subdivide_for(T.parse_tree(text), n)
     cx = O.build_complex(ts, n, max_dim=2)
-    index = F.OracleIndex(ts, cx)
+    index = O.OracleIndex(ts, cx)
     scanned = decoded(cx)
     for form in forms_to_check(ts, n, 20, seed=11):
-        assert F.coboundary_oracle_check(form, ts, cx, index) \
+        assert F.coboundary_oracle_check(form, ts, index) \
             == reference_check(form, ts, scanned), form
 
 
 def test_dropped_term_fails_both(monkeypatch):
     ts = T.subdivide_for(T.parse_tree(radial_tree(3)), 3)
     cx = O.build_complex(ts, 3, max_dim=2)
-    index = F.OracleIndex(ts, cx)
+    index = O.OracleIndex(ts, cx)
     differential = F.differential
 
     def drop_one(form, t, include_extraneous=False):
@@ -379,5 +380,33 @@ def test_dropped_term_fails_both(monkeypatch):
     monkeypatch.setattr(F, "differential", drop_one)
     scanned = decoded(cx)
     for form in forms:
-        assert not F.coboundary_oracle_check(form, ts, cx, index), form
+        assert not F.coboundary_oracle_check(form, ts, index), form
         assert not reference_check(form, ts, scanned), form
+
+
+def test_check_decodes_only_what_eval_form_reads(monkeypatch):
+    # building the index decodes nothing, and the check decodes one
+    # cell for each eval_form call
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(O, "decode_cell", counting("decode", O.decode_cell))
+    monkeypatch.setattr(F, "eval_form", counting("eval", F.eval_form))
+    index_cls = O.OracleIndex
+
+    def build_index(t, complex_):
+        index = index_cls(t, complex_)
+        assert calls["decode"] == 0
+        calls["index"] += 1
+        return index
+
+    monkeypatch.setattr(O, "OracleIndex", build_index)
+    rep = O.verify_d_equals_delta(T.parse_tree(path_tree([3, 3])), 3, 20)
+    assert rep["pass"] is True
+    assert calls["index"] == 1
+    assert calls["decode"] == calls["eval"] > 0
