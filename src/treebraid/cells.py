@@ -41,8 +41,10 @@ def is_valid_reduced(c, t):
 
 def is_critical(c):
     """True iff the cell's edge is disrespectful: some strand lies in a
-    direction strictly between 0 and d."""
-    return any(c.x[i] >= 1 for i in range(1, c.d))
+    direction strictly between 0 and d, that is, x[1:d] has a nonzero
+    entry (a-vectors are nonnegative; is_valid_reduced refuses the
+    rest)."""
+    return any(c.x[1:c.d])
 
 
 def _compositions(total, parts):
@@ -55,29 +57,12 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def degree_template(n, deg, critical=False):
+def degree_template(n, deg):
     """The (d, x) pairs of the non-extraneous reduced 1-cells at a vertex
-    of degree deg (only the critical ones, if critical), in enumeration
-    order: by d, then x in the order of _compositions.  Non-extraneous
-    means n - x[0] - x[d] >= 1.
-
-    A critical (d, x) has x[d] >= 1 and some x[i] >= 1 with 0 < i < d,
-    which makes it non-extraneous.  So its x is y + e_d for a
-    composition y of n - 1 whose first nonzero entry past 0 lies below
-    d; adding e_d keeps the order of _compositions, and no composition
-    is drawn and dropped.  Each x is one tuple shared by all its d, as
-    in the full template, so stamped cells hold no copy per d.
-    """
-    if critical:
-        ys = list(_compositions(n - 1, deg))
-        first = [next((i for i in range(1, deg) if y[i]), deg) for y in ys]
-        out, xs = [], {}
-        for d in range(2, deg):
-            for y, i in zip(ys, first):
-                if i < d:
-                    x = y[:d] + (y[d] + 1,) + y[d + 1:]
-                    out.append((d, xs.setdefault(x, x)))
-        return out
+    of degree deg, in enumeration order: by d, then x in the order of
+    _compositions.  Non-extraneous means n - x[0] - x[d] >= 1.  Each x
+    is one tuple shared by all its d, so stamped cells hold no copy per
+    d; the critical cells are the subsequence is_critical keeps."""
     xs = list(_compositions(n, deg))
     return [(d, x) for d in range(1, deg) for x in xs
             if x[d] >= 1 and n - x[0] - x[d] >= 1]

@@ -44,11 +44,11 @@ def _load_delta(path):
 
 
 def _load_subdivided(path, n):
-    """The tree at path and its subdivision for n strands (see
-    tree.subdivide_for); an n it refuses exits 2."""
+    """The subdivision for n strands (see tree.subdivide_for) of the tree
+    at path; an n it refuses exits 2."""
     t = _load_tree(path)
     try:
-        return t, _tree.subdivide_for(t, n)
+        return _tree.subdivide_for(t, n)
     except ValueError as exc:
         raise SystemExit(_fail(str(exc)))
 
@@ -59,13 +59,13 @@ def _fail(msg):
 
 
 def cmd_subdivide(args):
-    _, t = _load_subdivided(args.tree, args.n)
+    t = _load_subdivided(args.tree, args.n)
     print(_tree.to_text(t))
     return 0
 
 
 def cmd_cells(args):
-    _, t = _load_subdivided(args.tree, args.n)
+    t = _load_subdivided(args.tree, args.n)
     for c in _cells.enumerate_reduced_1cells(t, args.n):
         if args.critical and not _cells.is_critical(c):
             continue
@@ -100,7 +100,7 @@ def cmd_radial_rank(args):
 
 
 def cmd_delta(args):
-    _, t = _load_subdivided(args.tree, args.n)
+    t = _load_subdivided(args.tree, args.n)
     try:
         dg = _delta.build_delta(t, args.n)
     except ValueError as exc:
@@ -133,11 +133,15 @@ def cmd_detect_n(args):
 
 
 def cmd_iso(args):
+    na = args.n if args.n is not None else args.na
+    nb = args.n if args.n is not None else args.nb
     if args.delta:
         spec_a, spec_b = _load_delta(args.a), _load_delta(args.b)
+        # a given n overrides the file's, as in reconstruct
+        for dg, n in ((spec_a, na), (spec_b, nb)):
+            if n is not None:
+                dg.n = n
     else:
-        na = args.n if args.n is not None else args.na
-        nb = args.n if args.n is not None else args.nb
         if na is None or nb is None:
             return _fail("iso requires --n or both --na and --nb")
         spec_a = (_load_tree(args.a), na)
@@ -151,7 +155,7 @@ def cmd_iso(args):
 
 
 def cmd_verify(args):
-    t, _ = _load_subdivided(args.tree, args.n)
+    t = _load_tree(args.tree)
     try:
         coboundary = _oracle.verify_d_equals_delta(
             t, args.n, args.forms_sample)
@@ -165,7 +169,7 @@ def cmd_verify(args):
 
 
 def cmd_presentation(args):
-    _, t = _load_subdivided(args.tree, args.n)
+    t = _load_subdivided(args.tree, args.n)
     n = args.n
     kverts, edges = _forms.build_complex_K(t, n)
     out = {

@@ -95,7 +95,6 @@ class DeltaGraph:
         self.ns = [frozenset(map(cls.__getitem__, vs)) for vs in by_nb]
         self.cells = list(cells) if cells is not None else None
         self.n = n
-        self._hierarchy = None  # built by hierarchy() on first use
         self._grown = {}  # n -> the tree _grow grew, or why none grows
 
     @classmethod
@@ -109,6 +108,11 @@ class DeltaGraph:
     def edges(self):
         """The frozenset index pairs, as a view over the quotient."""
         return _EdgeView(self.classes, self.ns)
+
+    @cached_property
+    def _hierarchy(self):
+        """The Hierarchy of this Delta; read it through hierarchy()."""
+        return Hierarchy(self)
 
     def to_json(self):
         out = {"vertices": [], "edges": sorted(sorted(e) for e in self.edges)}
@@ -241,14 +245,18 @@ def cub_label(c):
 
 @cache
 def _labelled_template(n, deg):
-    """(template, labelled): ROrder.template(n, deg, critical=True) as a
-    tuple, and the (p, delta, k) of each position p whose cell has the
-    CUB label (delta, k) by cub_label.  Both read only (d, x), so they
-    are made once per (n, deg); nothing evicts them."""
-    template = tuple(_forms.ROrder.template(n, deg, critical=True))
+    """(template, labelled): the (d, x) of the critical cells of
+    degree_template(n, deg), sorted by ROrder.sort, as a tuple, and the
+    (p, delta, k) of each position p whose cell has the CUB label
+    (delta, k) by cub_label.  The full template is filtered before it
+    is sorted, so only the critical cells are sorted.  Both read only
+    (d, x), so they are made once per (n, deg); nothing evicts them."""
+    crit = _forms.ROrder.sort(filter(_cells.is_critical, (
+        ReducedOneCell(0, d, x) for d, x in _cells.degree_template(n, deg))))
+    template = tuple((c.d, c.x) for c in crit)
     labelled = []
-    for p, (d, x) in enumerate(template):
-        label = cub_label(ReducedOneCell(0, d, x))
+    for p, c in enumerate(crit):
+        label = cub_label(c)
         if label:
             labelled.append((p, *label))
     return template, tuple(labelled)
@@ -322,8 +330,6 @@ class Hierarchy:
 def hierarchy(delta):
     """The Hierarchy of delta, built on first use and kept with delta,
     so that detecting n and reconstructing share one."""
-    if delta._hierarchy is None:
-        delta._hierarchy = Hierarchy(delta)
     return delta._hierarchy
 
 

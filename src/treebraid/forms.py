@@ -304,12 +304,12 @@ class ROrder:
         return (c.a, -c.x[0], c.d, c.x)
 
     @staticmethod
-    def template(n, deg, critical=False):
-        """degree_template(n, deg, critical) in <_r order.  <_r sorts by
-        vertex first, so stamping this at every vertex in id order gives
-        the whole order."""
+    def template(n, deg):
+        """degree_template(n, deg) in <_r order.  <_r sorts by vertex
+        first, so stamping this at every vertex in id order gives the
+        whole order."""
         cells = [ReducedOneCell(0, d, x)
-                 for d, x in _cells.degree_template(n, deg, critical)]
+                 for d, x in _cells.degree_template(n, deg)]
         return [(c.d, c.x) for c in ROrder.sort(cells)]
 
     @staticmethod

@@ -15,8 +15,8 @@ subdivision and has far fewer cells; the critical-cell counts are
 checked against its Betti numbers.
 
 Both complexes get their Betti numbers from one GF(2) rank routine,
-_homology: d_1 by a spanning forest, and each d_k+1 on int-bitmask
-columns narrowed to the k-cells whose d_k column is dependent.
+_homology: every d_k by one column reduction on int-bitmask columns,
+those of d_k+1 narrowed to the k-cells whose d_k column is dependent.
 """
 
 from __future__ import annotations
@@ -215,25 +215,6 @@ def _independent(columns):
         yield col != 0
 
 
-def _forest(n0, rows):
-    """For each 2-entry column of rows in turn, whether it joins two
-    components of the graph on n0 vertices made by the columns before
-    it (union-find).  The columns that do form a spanning forest."""
-    parent = list(range(n0))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in rows:
-        a, b = find(a), find(b)
-        if a != b:
-            parent[a] = b
-        yield a != b
-
-
 def _homology(dims, cells):
     """(b_0, b_1, b_2) over GF(2) of a complex with dims[k] cells of
     degree k for k < len(dims) <= 4 (the boundary of degree 3 is needed
@@ -241,23 +222,19 @@ def _homology(dims, cells):
     (id, face ids) for each degree-k cell, in the same order at every
     call; the face ids of a degree-0 cell are not read.
 
-    d_1 is ranked by a spanning forest of the 1-skeleton.  The rows of
-    d_k+1 are only the k-cells whose d_k column depends on the ones
-    before: im d_k+1 lies in ker d_k, and a nonzero vector of ker d_k is
-    nonzero on those cells (for d_2: a cycle of the 1-skeleton is
-    nonzero off a spanning forest), so the rank stays and the pivots get
-    narrower.
+    Each d_k is ranked by one column reduction, _independent.  Its rows
+    are all the 0-cells for d_1, and for d_k+1 only the k-cells whose
+    d_k column depends on the ones before: im d_k+1 lies in ker d_k, and
+    a nonzero vector of ker d_k is nonzero on those cells (for d_2: the
+    independent columns of d_1 form a spanning forest, and a cycle of
+    the 1-skeleton is nonzero off it), so the rank stays and the pivots
+    get narrower.
     """
     ranks = [0, 0, 0, 0]
     rows = {key: i for i, (key, _) in enumerate(cells(0))}
     for k in range(1, len(dims)):
-        if k == 1:
-            flags = _forest(len(rows), ([rows[f] for f in faces]
-                                        for _, faces in cells(1)))
-        else:
-            flags = _independent(_column(rows[f] for f in faces if f in rows)
-                                 for _, faces in cells(k))
-        flags = list(flags)
+        flags = list(_independent(_column(rows[f] for f in faces if f in rows)
+                                  for _, faces in cells(k)))
         ranks[k] = sum(flags)
         if k + 1 < len(dims):
             rows = {key: r for r, key in enumerate(
@@ -403,19 +380,20 @@ def verify_d_equals_delta(t, n, forms_sample, rng=None):
     t is the base (unsubdivided) tree; the complex is built on the
     n+2-subdivided tree so that form and complex vertices agree.
     forms_sample is the number of basic 1-forms to sample (all basic
-    0-forms over essential vertices are always checked); a negative
-    one raises ValueError.  Returns a report dict; on budget overflow
-    the report says skipped.
+    0-forms over essential vertices are always checked).  An n below 2
+    raises ValueError (tree.subdivide_for) before a negative
+    forms_sample does.  Returns a report dict; on budget overflow the
+    report says skipped.
     """
     import random
 
     from . import cells as _cells
     from . import forms as _forms
 
+    ts = _tree.subdivide_for(t, n)
     if forms_sample < 0:
         raise ValueError("forms sample must be >= 0, got %d" % forms_sample)
     rng = rng or random.Random(0)
-    ts = _tree.subdivide_for(t, n)
     report = {"tree": _tree.to_text(t), "n": n}
     try:
         cx = build_complex(ts, n, max_dim=2)

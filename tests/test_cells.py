@@ -120,18 +120,6 @@ class TestUpperBounds:
                 assert f2 == C.is_critical(c2)
 
 
-class TestTemplate:
-    def test_critical_template_is_filtered_template(self):
-        # the critical template is generated directly; it must be the
-        # full template's critical subsequence, in the same order
-        for deg in range(3, 13):
-            for n in range(2, 7):
-                full = C.degree_template(n, deg)
-                assert C.degree_template(n, deg, critical=True) == [
-                    (d, x) for d, x in full
-                    if C.is_critical(C.ReducedOneCell(0, d, x))], (n, deg)
-
-
 class TestCounting:
     @pytest.mark.parametrize("deg", [3, 4, 5])
     @pytest.mark.parametrize("n", [4, 5])
@@ -139,7 +127,8 @@ class TestCounting:
         t = T.subdivide_for(T.parse_tree(radial_tree(deg)), n)
         c1, c2 = C.count_critical_cells(t, n)
         assert c1 == C.radial_rank(n, deg)
-        assert c1 == len(C.degree_template(n, deg, critical=True))
+        assert c1 == sum(C.is_critical(C.ReducedOneCell(0, d, x))
+                         for d, x in C.degree_template(n, deg))
         assert c2 == 0
 
     def test_counts_sum_over_vertices(self, corpus):

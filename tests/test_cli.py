@@ -451,6 +451,12 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == "error: forms sample must be >= 0, got %s\n" % sample
 
+    def test_verify_bad_n_before_bad_sample(self, capsys, tmin_file):
+        # the tree is subdivided for n before the sample is read
+        assert run(capsys, "verify", tmin_file, "--n", "1",
+                   "--forms-sample", "-1") \
+            == (2, "", "error: n must be >= 2\n")
+
     @pytest.mark.parametrize("n, message", [("1", "n must be >= 2"),
                                             ("6", "n <= 5")])
     def test_delta_bad_n_exit_2(self, capsys, tmin_file, n, message):
@@ -514,6 +520,35 @@ class TestErrors:
             {"n": file_n, "vertices": [{"id": 0}, {"id": 1}], "edges": []}))
         assert run(capsys, "iso", "--delta", str(free), str(free)) \
             == (0, "isomorphic\n", "")
+
+    @pytest.mark.parametrize("file_n", [None, 4, 5])
+    def test_iso_delta_n_overrides_file(self, capsys, tmp_path, tmin_file,
+                                        file_n):
+        # --n overrides the n of both files, --na and --nb of one each,
+        # as reconstruct --n does; T_MIN's Delta at n = 4 grows no tree
+        # at n = 5
+        _, out, _ = run(capsys, "delta", tmin_file, "--n", "4")
+        obj = json.loads(out)
+        del obj["n"]
+        if file_n is not None:
+            obj["n"] = file_n
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps(obj))
+        iso = ("iso", "--delta", str(p), str(p))
+        undefined = "undefined: no pruning child exists (n = 5)\n"
+        assert run(capsys, *iso, "--n", "4") == (0, "isomorphic\n", "")
+        for flags in (["--n", "5"], ["--na", "5"], ["--nb", "5"],
+                      ["--n", "5", "--na", "4", "--nb", "4"]):
+            assert run(capsys, *iso, *flags) == (3, "", undefined), flags
+        for n in ("3", "7"):
+            assert run(capsys, *iso, "--n", n) \
+                == (2, "", "error: n must be 4 or 5\n")
+        assert run(capsys, *iso)[0] == (3 if file_n == 5 else 0)
+        free = tmp_path / "free.json"
+        free.write_text(json.dumps(
+            {"vertices": [{"id": 0}, {"id": 1}], "edges": []}))
+        assert run(capsys, "iso", "--delta", str(free), str(free),
+                   "--n", "3") == (0, "isomorphic\n", "")
 
 
 class TestDeterminism:

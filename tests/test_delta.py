@@ -136,6 +136,13 @@ def _graphs(draw):
     return m, draw(st.sets(st.sampled_from(pairs))) if pairs else set()
 
 
+def critical_template(n, deg):
+    """The critical subsequence of ROrder.template(n, deg): the full
+    template sorted, then filtered, where build_delta filters first."""
+    return [(d, x) for d, x in F.ROrder.template(n, deg)
+            if C.is_critical(C.ReducedOneCell(0, d, x))]
+
+
 class TestQuotient:
     @given(trees(1, 6, 3, 7), st.sampled_from([4, 5]))
     @settings(max_examples=100, deadline=None)
@@ -143,7 +150,7 @@ class TestQuotient:
         # the reference decides m_cup_adjacent through template_joins
         t = T.subdivide_for(T.parse_tree(text), n)
         crit, joins = C.template_joins(
-            t, n, lambda deg: F.ROrder.template(n, deg, critical=True),
+            t, n, lambda deg: critical_template(n, deg),
             lambda c, cp: D.m_cup_adjacent(c, cp, t))
         edges = {frozenset((i + p, j)) for i, ps, bucket in joins
                  for p in ps for j in bucket}
@@ -607,7 +614,7 @@ class TestEdgeView:
 def _labelled_per_cell(t, n):
     """(cells, classes, ns) of build_delta as it was when every build
     labelled its critical cells with cub_label, once per (d, x)."""
-    crit = C.stamp(t, n, lambda deg: F.ROrder.template(n, deg, critical=True))
+    crit = C.stamp(t, n, lambda deg: critical_template(n, deg))
     _, joins = C.cub_quotient(t, n)
     labels, members = {}, defaultdict(list)
     for i, c in enumerate(crit):

@@ -9,7 +9,7 @@ from treebraid import cells as C, forms as F, oracle as O, tree as T
 from treebraid.oracle import ExplicitCell
 
 import explicit as E
-from conftest import CORPUS, T_MIN, path_tree, radial_tree
+from conftest import CORPUS, T_MIN, path_tree, radial_tree, star_tree
 
 
 def reference_complex(t, n, max_dim=3):
@@ -243,9 +243,10 @@ class TestBetti:
 
 
 def test_betti_rows_narrowed(monkeypatch):
-    # the columns of d_2 have rows only on the 1-cells off a spanning
-    # forest, and those of d_3 only on the 2-cells whose d_2 column is
-    # dependent; full width is 12 240 and 13 860 rows
+    # the columns of d_1 have a row per 0-cell; those of d_2 rows only
+    # on the 1-cells off a spanning forest, and those of d_3 only on the
+    # 2-cells whose d_2 column is dependent; full width is 12 240 and
+    # 13 860 rows
     widths = []
     independent = O._independent
 
@@ -262,9 +263,10 @@ def test_betti_rows_narrowed(monkeypatch):
     b0, b1, b2 = O.betti(cx)
     rank1 = dims[0] - b0
     rank2 = dims[1] - rank1 - b1
-    assert len(widths) == 2
-    assert widths[0] <= dims[1] - rank1
-    assert widths[1] <= dims[2] - rank2
+    assert len(widths) == 3
+    assert widths[0] == dims[0]
+    assert widths[1] <= dims[1] - rank1
+    assert widths[2] <= dims[2] - rank2
     assert (b0, b1, b2) == O.swiatkowski_betti(t, 4)
 
 
@@ -326,6 +328,16 @@ class TestSwiatkowski:
                 made.append(len(cells))
                 lower = keys
             assert O.swiatkowski_sizes(T.parse_tree(text), n) == made
+
+    @pytest.mark.parametrize("text", [path_tree([5] * 4),
+                                      star_tree(5, (5, 5, 5))])
+    def test_near_budget(self, text):
+        # four degree-5 vertices at n = 5: the largest complexes the
+        # budget admits, with 230 061 cells, ranked through _homology
+        t = T.parse_tree(text)
+        assert sum(O.swiatkowski_sizes(t, 5)) == 230_061
+        assert O.swiatkowski_betti(t, 5) \
+            == (1, *C.count_critical_cells(t, 5)) == (1, 620, 1656)
 
     def test_budget_checked_before_any_cell(self, monkeypatch):
         def refuse(*args):
