@@ -1,6 +1,6 @@
 """
 Reduced and critical 1-cells of the discretized configuration space
-UD_nT, upper bounds of pairs, and Betti counts from the CUB quotient.
+UD_nT, upper bounds of pairs, the CUB quotient, and Betti counts.
 
 A reduced 1-cell is written (a, d, x) where a is an essential vertex, d
 a direction at a with d >= 1, and x the a-vector: x[i] counts strands in
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from itertools import permutations
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from . import tree as _tree
@@ -113,10 +114,9 @@ def upper_bound_exists(c1, c2, t):
 
 def edge_disrespectful_in_lub(c1, c2, t):
     """Disrespect flags (for the edge of c1, the edge of c2) in the
-    reduced representative of the least upper bound of {c1, c2}.
-
-    c1 is taken to be the cell over the vertex-order-smaller vertex; the
-    flags are returned in the argument order given.
+    reduced representative of the least upper bound of {c1, c2}, in the
+    argument order given; the least upper bound is critical iff both
+    are true.  Raises ValueError when the pair has no upper bound.
     """
     swapped = c1.a > c2.a
     a, b = (c2, c1) if swapped else (c1, c2)
@@ -133,13 +133,6 @@ def edge_disrespectful_in_lub(c1, c2, t):
     return (f_flag, e_flag) if swapped else (e_flag, f_flag)
 
 
-def lub_is_critical(c1, c2, t):
-    """True iff both edges are disrespectful in the reduced
-    representative of the least upper bound."""
-    e_flag, f_flag = edge_disrespectful_in_lub(c1, c2, t)
-    return e_flag and f_flag
-
-
 def template_joins(t, n, template, decide):
     """(cells, joins): cells = stamp(t, n, template), and joins a
     generator of (i, positions, bucket), one per vertex a and bucket:
@@ -151,10 +144,11 @@ def template_joins(t, n, template, decide):
     positions are the template positions p with decide(cells[i + p],
     cells[bucket[0]]) true, so decide must read the first cell only
     through (d, x) and alpha and the second only through y0, as the
-    Upper Bound Lemma lets upper_bound_exists, and lub_is_critical and
-    m_cup_adjacent on critical cells, do.  It is called once per (degree
-    of a, alpha, y0) and template position, whatever the number of
-    vertices.  Buckets are held for one vertex a at a time.
+    Upper Bound Lemma lets upper_bound_exists, and the flags of
+    edge_disrespectful_in_lub and m_cup_adjacent on critical cells, do.
+    It is called once per (degree of a, alpha, y0) and template
+    position, whatever the number of vertices.  Buckets are held for
+    one vertex a at a time.
     """
     cells = stamp(t, n, template)
 
@@ -186,15 +180,19 @@ def template_joins(t, n, template, decide):
 
 
 def count_critical_cells(t, n):
-    """(b_1, b_2) of B_nT, the numbers of critical 1- and 2-cells of
-    the subdivision of t for n strands, read from t itself: b_1 is the
-    sum of Y_n(deg a) over the essential vertices a, and b_2 the sum
-    over joined keys of cub_quotient of the product of their sizes.  The
-    sums read only degrees and directions, which subdivision keeps, so t
-    may be any tree."""
-    sizes, joins = cub_quotient(t, n)
-    b1 = sum(radial_rank(n, t.degree(a)) for a in _tree.essential_vertices(t))
-    return b1, sum(sizes[p] * sizes[q] for p in joins for q in joins[p]) // 2
+    """(b_1, b_2) of B_nT, its critical 1- and 2-cell counts, from the
+    essential degrees of t alone, so t may be any tree (subdivision
+    keeps them).  With Y = radial_rank, b_1 sums Y(n, deg a), and b_2 is
+    half the sum of sizes[p] * sizes[q] over cub_quotient's joins p -> q
+    telescoped: the keys q over b that p = (a, delta, k) joins have
+    Y(k, deg b) - Y(1, deg b) = Y(k, deg b) cells."""
+    degs = [t.degree(a) for a in _tree.essential_vertices(t)]
+    b2 = 0
+    for k in range(2, n - 1):
+        s = [radial_rank(n - k, x) - radial_rank(n - k - 1, x) for x in degs]
+        y = [radial_rank(k, x) for x in degs]
+        b2 += sum(s) * sum(y) - sum(map(mul, s, y))  # all pairs less a = b
+    return sum(radial_rank(n, x) for x in degs), b2 // 2
 
 
 def cub_quotient(t, n):

@@ -100,9 +100,11 @@ def cmd_radial_rank(args):
 
 
 def cmd_delta(args):
-    t = _load_subdivided(args.tree, args.n)
+    t = _load_tree(args.tree)
     try:
-        dg = _delta.build_delta(t, args.n)
+        if args.n > 5:  # refused before the subdivision, which grows with n
+            raise ValueError(_delta.N_TOO_LARGE)
+        dg = _delta.build_delta(_tree.subdivide_for(t, args.n), args.n)
     except ValueError as exc:
         return _fail(str(exc))
     if args.format == "dot":

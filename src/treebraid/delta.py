@@ -216,7 +216,7 @@ def m_cup_adjacent(c, cp, t):
         return False
     # <_r sorts by vertex first, and c.a != cp.a
     small, other = (c, cp) if c.a < cp.a else (cp, c)
-    s_critical = _cells.lub_is_critical(c, cp, t)
+    s_critical = all(_cells.edge_disrespectful_in_lub(c, cp, t))
     kind = _forms.classify_exceptional(small)
     if kind == "I":
         return not s_critical
@@ -262,6 +262,9 @@ def _labelled_template(n, deg):
     return template, tuple(labelled)
 
 
+N_TOO_LARGE = "Delta is built for n <= 5 only"
+
+
 def build_delta(t, n):
     """Delta for (t, n), n <= 5: one vertex per critical 1-cell (in <_r
     order), edges the pairs whose M-classes cup nontrivially.
@@ -275,7 +278,7 @@ def build_delta(t, n):
     ValueError: a cell can have two CUB directions.
     """
     if n > 5:
-        raise ValueError("Delta is built for n <= 5 only")
+        raise ValueError(N_TOO_LARGE)
     crit = _cells.stamp(t, n, lambda deg: _labelled_template(n, deg)[0])
     _, joins = _cells.cub_quotient(t, n)
     members, i = defaultdict(list), 0
@@ -561,8 +564,8 @@ def decide_isomorphic(spec1, spec2):
     if t1 is None:
         return True
     if n1 != n2:
-        # b2 only now, with both n in {4, 5}: the closed form builds the
-        # CUB quotient, whose size grows with n
+        # b2 only now, with both n in {4, 5}: its closed form makes O(n)
+        # radial ranks per degree, where b1 makes one
         pair1 = _cells.count_critical_cells(t1, n1)
         pair2 = _cells.count_critical_cells(t2, n2)
         if pair1 != pair2:

@@ -486,16 +486,16 @@ def cup_normal_form(c1, c2, t, n, order=None):
         p, q = work.pop()
         if not _cells.upper_bound_exists(p, q, t):
             continue
-        if _cells.lub_is_critical(p, q, t):
-            out ^= {frozenset((p, q))}
-            continue
         if p.a > q.a:
             p, q = q, p
+        p_dis, q_dis = _cells.edge_disrespectful_in_lub(p, q, t)
+        if p_dis and q_dis:  # the least upper bound is critical
+            out ^= {frozenset((p, q))}
+            continue
         # the pivot owns the respectful edge: p when q's edge is
         # disrespectful (p is then the necessary cell of f(p)dq), else
         # the noncritical q (rewritten via its necessary 0-form)
-        _, q_disrespectful = _cells.edge_disrespectful_in_lub(p, q, t)
-        pivot, other = (p, q) if q_disrespectful else (q, p)
+        pivot, other = (p, q) if q_dis else (q, p)
         work.extend((cell, other) for cell in _differential_terms(
             t, pivot.a, pivot.x, False) if cell != pivot)
     return frozenset(out)

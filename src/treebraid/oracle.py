@@ -32,8 +32,6 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, estimate, budget):
         super().__init__(
             "estimated %d cells exceeds budget %d" % (estimate, budget))
-        self.estimate = estimate
-        self.budget = budget
 
 
 class CubeComplex:

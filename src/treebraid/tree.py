@@ -30,8 +30,7 @@ class TreeSyntaxError(ValueError):
 class PlaneTree:
     """Immutable plane tree rooted at the basepoint (vertex 0)."""
 
-    __slots__ = ("parent", "children", "_subtree_end", "_hash", "_dirs",
-                 "_canon")
+    __slots__ = ("parent", "children", "_subtree_end", "_dirs", "_canon")
 
     def __init__(self, parent, children):
         self.parent = tuple(parent)
@@ -52,7 +51,6 @@ class PlaneTree:
                 e = max(e, end[c])
             end[v] = e
         self._subtree_end = tuple(end)
-        self._hash = hash((self.parent, self.children))
         self._dirs = [None] * n  # rows of directions(), filled on demand
         self._canon = None  # canonical_form(self), filled on first use
 
@@ -65,7 +63,7 @@ class PlaneTree:
                 and self.children == other.children)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.parent, self.children))
 
     def __repr__(self):
         return "PlaneTree(%r)" % (to_text(self),)

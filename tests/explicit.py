@@ -163,7 +163,7 @@ def sorted_cup_normal_form(c1, c2, t, order):
     for _ in range(order.rm * order.rm):
         target = None
         for pair in sorted(work, key=lambda p: sorted(map(rank, p))):
-            if not C.lub_is_critical(*pair, t):
+            if not all(C.edge_disrespectful_in_lub(*pair, t)):
                 target = pair
                 break
         if target is None:

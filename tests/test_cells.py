@@ -1,10 +1,12 @@
 import json
+import tracemalloc
+from itertools import product
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treebraid import cells as C, delta as D, tree as T
+from treebraid import cells as C, delta as D, oracle as O, tree as T
 
 import explicit as E
 from conftest import T_MIN, path_tree, radial_tree, trees
@@ -98,14 +100,22 @@ class TestUpperBounds:
                     assert t.children[c.a][c.d - 1] in s.edges
 
     def test_lub_critical_iff_both_disrespectful(self):
+        # an edge e of the explicit least upper bound is disrespectful
+        # iff an occupied vertex is a child of tau(e) in a direction
+        # between 0 and e's; the first vertex of path [4, 3] has such a
+        # direction besides the one toward the second
         n = 4
-        t, cells = _cells_of(path_tree([3, 4]), n)
-        for c1 in cells:
-            for c2 in cells:
+        for degs in ([3, 4], [4, 3]):
+            t, cells = _cells_of(path_tree(degs), n)
+            for c1, c2 in product(cells, cells):
                 if c1.a >= c2.a or not C.upper_bound_exists(c1, c2, t):
                     continue
-                f1, f2 = C.edge_disrespectful_in_lub(c1, c2, t)
-                assert C.lub_is_critical(c1, c2, t) == (f1 and f2)
+                s = E.lub_reduced(c1, c2, t, n)
+                flags = tuple(
+                    any(t.parent[v] == t.parent[e] and v < e
+                        for v in s.vertices)
+                    for e in (t.children[c.a][c.d - 1] for c in (c1, c2)))
+                assert C.edge_disrespectful_in_lub(c1, c2, t) == flags
 
     def test_larger_cell_flag_is_criticality(self):
         # the disrespect flag of the <-larger cell equals its own
@@ -151,6 +161,31 @@ class TestCounting:
         t = T.parse_tree(text)
         assert C.count_critical_cells(t, n) \
             == C.count_critical_cells(T.subdivide_for(t, n), n)
+
+    @given(trees(1, 6, 3, 8), st.integers(1, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_is_the_quotient_walk(self, text, n):
+        # the reference sums the products of the key sizes over the joins
+        # of the CUB quotient, which list each pair of keys from both ends
+        t = T.parse_tree(text)
+        sizes, joins = C.cub_quotient(t, n)
+        want = (sum(C.radial_rank(n, t.degree(a))
+                    for a in T.essential_vertices(t)),
+                sum(sizes[p] * sizes[q] for p in joins for q in joins[p]) // 2)
+        assert C.count_critical_cells(t, n) == want
+        if sum(O.swiatkowski_sizes(t, n)) <= O.SWIATKOWSKI_BUDGET:
+            assert O.swiatkowski_betti(t, n) == (1, *want)
+
+    def test_count_memory_flat_in_n(self):
+        # the CUB quotient of T_MIN at n = 300 holds about 41 MB of joins
+        t = T.parse_tree(T_MIN)
+        tracemalloc.start()
+        try:
+            C.count_critical_cells(t, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_radial_rank_closed_form_is_the_sum(self):
         # the sum over directions the closed form replaces

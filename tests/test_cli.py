@@ -122,6 +122,20 @@ class TestVerbs:
                            "--format", "dot")
         assert code == 0 and out.startswith("graph Delta {")
 
+    def test_delta_type_ii_before_type_i(self, capsys, tmp_path):
+        # path [4, 4] at n = 5: a Type II cell (no edges) before its Type I
+        # partner (3 edges), which T_MIN's degree-3 vertices cannot show
+        p = tmp_path / "p44.tree"
+        p.write_text(path_tree([4, 4]))
+        code, out, _ = run(capsys, "delta", str(p), "--n", "5")
+        obj = json.loads(out)
+        v, e = obj["vertices"], obj["edges"]
+        x = [0, 2, 2, 1]
+        assert (code, len(v), len(e)) == (0, 100, 57)
+        assert v[31] == {"id": 31, "cell": {"a": 6, "d": 3, "x": x}}
+        assert v[46] == {"id": 46, "cell": {"a": 6, "d": 2, "x": x}}
+        assert [sum(i in pair for pair in e) for i in (31, 46)] == [0, 3]
+
     def test_delta_reconstruct_file_round_trip(self, capsys, tmp_path,
                                                tmin_file):
         _, out, _ = run(capsys, "delta", tmin_file, "--n", "4")
@@ -463,6 +477,16 @@ class TestErrors:
         code, out, err = run(capsys, "delta", tmin_file, "--n", n)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
+
+    def test_delta_huge_n_refused_before_subdividing(self, capsys, tmin_file,
+                                                     monkeypatch):
+        # the subdivision for 3 000 000 strands would not fit in memory
+        def boom(*args):
+            raise AssertionError("n is refused before subdividing")
+
+        monkeypatch.setattr(T, "subdivide_for", boom)
+        assert run(capsys, "delta", tmin_file, "--n", "3000000") \
+            == (2, "", "error: Delta is built for n <= 5 only\n")
 
     @pytest.mark.parametrize("verb, n, message", [
         ("subdivide", "1", "n must be >= 2"),

@@ -533,8 +533,8 @@ class TestDecide:
             assert answer is False and not same
 
     def test_across_n_large_n_refused_fast(self, monkeypatch):
-        # n is checked before b2 is read: the CUB quotient at n = 10^6
-        # would have about 5e11 join entries
+        # n is checked before b2 is read: b2's closed form at n = 10^6
+        # would make about six million radial ranks
         monkeypatch.setattr(C, "count_critical_cells", None)
         start = time.perf_counter()
         with pytest.raises(ValueError, match="requires n in"):

@@ -261,7 +261,7 @@ class TestCup:
                 for pair in nf:
                     p, q = tuple(pair)
                     assert C.is_critical(p) and C.is_critical(q)
-                    assert C.lub_is_critical(p, q, t)
+                    assert all(C.edge_disrespectful_in_lub(p, q, t))
 
     def test_rewriting_builds_no_order(self, tmin4, monkeypatch):
         def refuse(*args):
@@ -291,4 +291,4 @@ def rewriting_pairs(cells, t):
     not critical."""
     return [(c1, c2) for i, c1 in enumerate(cells) for c2 in cells[i + 1:]
             if C.upper_bound_exists(c1, c2, t)
-            and not C.lub_is_critical(c1, c2, t)]
+            and not all(C.edge_disrespectful_in_lub(c1, c2, t))]

@@ -1,8 +1,9 @@
 """The closed CUB quotient and the Upper-Bound-Lemma joins against
 pairwise loops.
 
-count_critical_cells and build_delta read Delta's twin quotient from the
-tree (cells.cub_quotient) and visit no pair of cells.  build_complex_K
+count_critical_cells reads the essential degrees alone, and build_delta
+reads Delta's twin quotient from the tree (cells.cub_quotient); neither
+visits a pair of cells.  build_complex_K
 decides each pair of cells over vertices a < b through
 cells.template_joins: one decision per (degree of a, direction from a
 to b, y0 of the cell over b) and template position serves every vertex
@@ -33,7 +34,8 @@ def pairwise_count(t, n):
             c1, c2 = cells[i], cells[j]
             if c1.a == c2.a:
                 continue
-            if C.upper_bound_exists(c1, c2, t) and C.lub_is_critical(c1, c2, t):
+            if C.upper_bound_exists(c1, c2, t) \
+                    and all(C.edge_disrespectful_in_lub(c1, c2, t)):
                 count_2 += 1
     return len(cells), count_2
 
