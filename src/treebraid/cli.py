@@ -43,14 +43,24 @@ def _load_delta(path):
         raise SystemExit(_fail("cannot read delta %r: %s" % (path, exc)))
 
 
+# the most vertices a subdivided tree may have (about 200 MB)
+SUBDIVISION_BUDGET = 1_000_000
+
+
 def _load_subdivided(path, n):
     """The subdivision for n strands (see tree.subdivide_for) of the tree
-    at path; an n it refuses exits 2."""
+    at path.  An n it refuses, or whose subdivision has more than
+    SUBDIVISION_BUDGET vertices, exits 2 before anything is built."""
     t = _load_tree(path)
     try:
-        return _tree.subdivide_for(t, n)
+        size = _tree.subdivided_size(t, n)
     except ValueError as exc:
         raise SystemExit(_fail(str(exc)))
+    if size > SUBDIVISION_BUDGET:
+        raise SystemExit(_fail(
+            "the subdivision for n = %d has %d vertices, more than %d"
+            % (n, size, SUBDIVISION_BUDGET)))
+    return _tree.subdivide_for(t, n)
 
 
 def _fail(msg):

@@ -6,8 +6,9 @@ matrices M_omega / M_c / Ms / Mt / M, the flag complex K, and normal
 forms for cup products of 1-classes.
 
 coboundary_oracle_check tests d = delta on the brute-force complex of
-oracle.py.  It names that complex's cells only by cell index and edge
-id, through an oracle.OracleIndex, which alone reads their int keys.
+oracle.py.  It holds that complex's cells only as the keys an
+oracle.FormCells makes, and reads them only through it: oracle alone
+reads key bits.
 
 GF(2) matrices are stored as lists of columns, each column an int
 bitmask of row indices (bit i of cols[j] is the (i, j) entry).
@@ -129,36 +130,38 @@ def differential(form, t, include_extraneous=False):
         for c in _differential_terms(t, a, x, include_extraneous))
 
 
-def coboundary_oracle_check(form, t, index):
+def coboundary_oracle_check(form, t, cells):
     """True iff d(form) agrees with the cochain coboundary of form on
-    every 2-cell of an oracle complex built on t itself (so that vertex
-    ids agree); index is its oracle.OracleIndex, and form has a 0-form
-    factor f(a,x) with a essential.
+    every 2-cell of UD_nT on t itself (so that vertex ids agree); cells
+    is an oracle.FormCells on t, and form has a 0-form factor f(a,x)
+    with a essential.
 
     Both sides are compared as sets of 2-cells.  delta(form) is the XOR
     of the cofaces of the 1-cells in the support of the form: cells
     whose D- or D-bar-profile at a is x and that lie over the edge of
-    every dc factor.  Each term of d(form) is nonzero only on 2-cells
-    containing its edges.  The index only narrows the cells; eval_form
-    decides every value, on a cell the index decodes for it.
+    every dc factor.  A term of d(form) is nonzero only on 2-cells over
+    its edges whose D-profile at the vertex of its first factor c is
+    c.x.  cells makes only those cells; eval_form decides every value,
+    on a cell cells decodes for it.
     """
     a, x = form.base
-    by = index.profiles[a]
-    support = set(by.get((False, x), ())).union(by.get((True, x), ()))
-    for c in form.factors:
-        support.intersection_update(
-            index.ones.get(t.children[c.a][c.d - 1], ()))
     delta = set()
-    for i in support:
-        if eval_form(form, index.cell(1, i), t):
-            delta.symmetric_difference_update(index.cofaces[i])
+    for key in cells.support(a, x, _edges(form, t)):
+        cell = cells.cell(key)
+        if eval_form(form, cell, t):
+            delta.symmetric_difference_update(cells.cofaces(cell))
     d = set()
     for term in differential(form, t, include_extraneous=True):
-        edges = frozenset(t.children[c.a][c.d - 1] for c in term.factors)
+        c = term.factors[0]
         d.symmetric_difference_update(
-            s for s in index.twos.get(edges, ())
-            if eval_form(term, index.cell(2, s), t))
+            key for key in cells.over(_edges(term, t), c.a, c.x)
+            if eval_form(term, cells.cell(key), t))
     return d == delta
+
+
+def _edges(form, t):
+    """The edges of the dc factors of a form."""
+    return frozenset(t.children[c.a][c.d - 1] for c in form.factors)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ The brute-force one is the discretized configuration space UD_nT: cells
 are enumerated directly as sets of n pairwise-disjoint closed vertices
 and edges of a subdivided tree, each held as an int key, with face maps
 (replace each edge by either endpoint).  The d = delta identity is
-checked on it.  Only this module reads or writes key bits: OracleIndex
-names the cells the check needs by cell index and edge id, and decodes
-a cell into an ExplicitCell only where a form is evaluated on it.
+checked on it without building it: FormCells makes, as keys, only the
+cells that one form's check reads, and a cell is decoded into an
+ExplicitCell only where a form is evaluated on it.  Only this module
+reads or writes key bits.
 
 The reduced Świątkowski complex (swiatkowski_betti) needs no
 subdivision and has far fewer cells; the critical-cell counts are
@@ -22,16 +23,41 @@ those of d_k+1 narrowed to the k-cells whose d_k column is dependent.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from math import comb, exp, floor, lgamma, log, log10
 from typing import NamedTuple
 
 from . import tree as _tree
 
+# the most cells build_complex makes by default, and the most that
+# verify_d_equals_delta checks forms on
+COMPLEX_BUDGET = 5_000_000
+
+# int-to-str conversion refuses an int of more digits than this
+# (sys.int_info.default_max_str_digits)
+_STR_DIGITS = 4300
+
 
 class BudgetExceeded(RuntimeError):
-    def __init__(self, estimate, budget):
+    """A complex over its cell budget.  estimate is its cell count, or
+    None when only the count's number of digits is known.  A count of
+    more than 4300 digits, which int-to-str conversion refuses, is
+    named by its digit count."""
+
+    def __init__(self, estimate, budget, digits=None):
+        if estimate is not None and estimate >= 10 ** _STR_DIGITS:
+            digits = _digit_count(estimate)
+        what = "%d" % estimate if digits is None \
+            else "a %d-digit number of" % digits
         super().__init__(
-            "estimated %d cells exceeds budget %d" % (estimate, budget))
+            "estimated %s cells exceeds budget %d" % (what, budget))
+
+
+def _digit_count(x):
+    """The number of decimal digits of the int x > 0, without str."""
+    d = max(int((x.bit_length() - 1) * log10(2)) - 1, 0)  # <= log10(x)
+    while 10 ** (d + 1) <= x:
+        d += 1
+    return d + 1
 
 
 class CubeComplex:
@@ -83,15 +109,46 @@ def subdivide_exact(t, n):
     return _tree._subdivide(t, n - 1)
 
 
-def _estimate_cells(t, n, max_dim):
-    V = len(t)
+def _estimate_cells(V, n, max_dim):
+    """Cells of UD_nT through dimension max_dim on a tree of V vertices,
+    counted as k edges times n - k strands on V - 2k vertices for each
+    k (an upper bound: it counts edge sets whose closures meet)."""
     E = V - 1
     return sum(
         comb(E, k) * comb(max(V - 2 * k, 0), n - k)
         for k in range(0, min(max_dim, n) + 1))
 
 
-def build_complex(t, n, max_dim=3, budget=5_000_000):
+def _log10_estimate(V, n, max_dim):
+    """log10 of _estimate_cells(V, n, max_dim) from lgamma, in time
+    that does not grow with n; -inf when the estimate is 0."""
+    def lcomb(m, k):
+        return lgamma(m + 1) - lgamma(k + 1) - lgamma(m - k + 1)
+
+    terms = [lcomb(V - 1, k) + lcomb(V - 2 * k, n - k)
+             for k in range(0, min(max_dim, n) + 1)
+             if k <= V - 1 and n - k <= V - 2 * k]
+    if not terms:
+        return float("-inf")
+    top = max(terms)
+    return (top + log(sum(exp(x - top) for x in terms))) / log(10)
+
+
+def _check_budget(V, n, max_dim, budget):
+    """Raise BudgetExceeded when _estimate_cells(V, n, max_dim) is over
+    budget.  An estimate of more than 4300 digits is not computed
+    (math.comb takes minutes at a million digits): its digit count comes
+    from _log10_estimate, so it may be one off where that log lies
+    within about 1e-6 of an integer."""
+    log_est = _log10_estimate(V, n, max_dim)
+    if log_est >= _STR_DIGITS:
+        raise BudgetExceeded(None, budget, digits=floor(log_est) + 1)
+    est = _estimate_cells(V, n, max_dim)
+    if est > budget:
+        raise BudgetExceeded(est, budget)
+
+
+def build_complex(t, n, max_dim=3, budget=COMPLEX_BUDGET):
     """Enumerate all cells of UD_nT up to dimension max_dim.
 
     t must be sufficiently subdivided for n strands.  The cells of
@@ -108,9 +165,7 @@ def build_complex(t, n, max_dim=3, budget=5_000_000):
         raise ValueError("n must be >= 0")
     if not _tree.is_sufficiently_subdivided(t, n):
         raise ValueError("tree is not sufficiently subdivided for n strands")
-    est = _estimate_cells(t, n, max_dim)
-    if est > budget:
-        raise BudgetExceeded(est, budget)
+    _check_budget(len(t), n, max_dim, budget)
     parent = t.parent
     top = min(max_dim, n)
     keys = []
@@ -141,60 +196,103 @@ def build_complex(t, n, max_dim=3, budget=5_000_000):
     return CubeComplex(keys, faces)
 
 
-class OracleIndex:
-    """Lookup tables over a CubeComplex for forms.coboundary_oracle_check,
-    built once per complex from its int cell keys and dropped with it.
-    They name cells by index and edges by id, so the check reads no key.
+class FormCells:
+    """The cells of UD_nT that forms.coboundary_oracle_check reads, made
+    for one form at a time as int keys in build_complex's layout, on a
+    tree t sufficiently subdivided for the forms' strand count.
 
-    ones[e]: the 1-cells over edge e.  twos[edges]: the 2-cells whose
-    edges include the frozenset edges, of one edge or of both.
-    cofaces[i]: the 2-cells having 1-cell i as a face.
-    profiles[a][bar, x]: the 1-cells whose D-profile (bar False) or
-    D-bar-profile (bar True) at the essential vertex a is x.  All values
-    are lists of cell indices.
+    A D-profile (or D-bar-profile) at a fixes how many strands lie in
+    each direction from a; an edge counts in the direction of its
+    endpoint farther from * (or nearer to it).  So the cells over given
+    edges with a given profile are a product, over the directions, of
+    combinations of the free vertices there, and each set the check
+    reads is a union of such products over the given edges and at most
+    one edge more.
     """
 
-    def __init__(self, t, complex_):
-        self.complex = complex_
-        one_keys, two_keys = complex_.cells_by_dim[1:3]
-        odd = sum(2 << 2 * e for e in t.edges())
-        self.ones = {}
-        for i, key in enumerate(one_keys):
-            e = (key & odd).bit_length() // 2 - 1
-            self.ones.setdefault(e, []).append(i)
-        twos = {}  # by edge bits, then keyed by edge ids
-        for s, key in enumerate(two_keys):
-            both = key & odd
-            low = both & -both
-            for bits in (low, both ^ low, both):
-                twos.setdefault(bits, []).append(s)
-        self.twos = {
-            frozenset(e for e in range(bits.bit_length() // 2)
-                      if bits >> 2 * e + 1 & 1): cells
-            for bits, cells in twos.items()}
-        self.cofaces = [[] for _ in one_keys]
-        for s, faces in enumerate(complex_.faces[2]):
-            for f in faces:
-                self.cofaces[f].append(s)
-        # _profile on keys: masks[i] holds the bits of the vertices and
-        # edges that count in direction i, and D_{a,i} is a popcount
-        self.profiles = {}
-        for a in _tree.essential_vertices(t):
-            dirs = t.directions(a)
-            by = self.profiles[a] = {}
-            for bar in (False, True):
-                masks = [0] * t.degree(a)
-                for v, i in enumerate(dirs):
-                    masks[i] |= 1 << 2 * v
-                for e in t.edges():
-                    masks[dirs[t.parent[e] if bar else e]] |= 2 << 2 * e
-                for i, key in enumerate(one_keys):
-                    prof = tuple(map(int.bit_count, map(key.__and__, masks)))
-                    by.setdefault((bar, prof), []).append(i)
+    def __init__(self, t):
+        self.t = t
+        self._bits = {}  # a -> for each direction at a, its vertex bits
+        # for each vertex v and neighbour w, the key change that moves
+        # the strand on v onto the edge vw, named by its larger end
+        self._moves = [
+            [(w, (2 << 2 * max(v, w)) - (1 << 2 * v))
+             for w in (*t.children[v], t.parent[v]) if w is not None]
+            for v in range(len(t))]
 
-    def cell(self, k, i):
-        """The ExplicitCell of the i-th cell of dimension k."""
-        return decode_cell(self.complex.cells_by_dim[k][i])
+    def cell(self, key):
+        """The ExplicitCell of a key (decode_cell)."""
+        return decode_cell(key)
+
+    def support(self, a, x, edges):
+        """Keys of the 1-cells whose edge is in the set edges (any edge
+        when it is empty) and whose D- or D-bar-profile at a is x, each
+        once.  The two profiles differ only where the edge joins a to a
+        child, and there no cell has both."""
+        t = self.t
+        dirs = t.directions(a)
+        for es in self._edge_sets(edges, 1):
+            e = es[0]
+            for i in {dirs[e], dirs[t.parent[e]]}:
+                yield from self._placed(es, a, x, [i])
+
+    def over(self, edges, a, x):
+        """Keys of the 2-cells whose edges include the set edges and
+        whose D-profile at a is x."""
+        dirs = self.t.directions(a)
+        for es in self._edge_sets(edges, 2):
+            yield from self._placed(es, a, x, [dirs[e] for e in es])
+
+    def cofaces(self, cell):
+        """Keys of the 2-cells that have the 1-cell cell, an
+        ExplicitCell, as a face: the strand on a vertex v becomes an edge
+        at v whose other endpoint is free."""
+        (e,) = cell.edges
+        key = 2 << 2 * e
+        for v in cell.vertices:
+            key |= 1 << 2 * v
+        closure = (e, self.t.parent[e])
+        return [key + move for v in cell.vertices
+                for w, move in self._moves[v]
+                if w not in cell.vertices and w not in closure]
+
+    def _edge_sets(self, edges, k):
+        """The k-tuples of edges with pairwise disjoint closures that
+        hold the set edges and at most one edge more."""
+        t = self.t
+        closure = {*edges, *(t.parent[e] for e in edges)}
+        if len(closure) < 2 * len(edges) or not 0 <= k - len(edges) <= 1:
+            return []
+        if len(edges) == k:
+            return [tuple(edges)]
+        return [(*edges, f) for f in t.edges()
+                if f not in closure and t.parent[f] not in closure]
+
+    def _placed(self, edges, a, x, counted):
+        """Keys of the cells over the tuple edges whose profile at a is
+        x when edge i counts in direction counted[i]: the n - k strands
+        left fill x less those counts from the vertices off the
+        edges' closures."""
+        need = list(x)
+        for i in counted:
+            need[i] -= 1
+        if min(need) < 0:
+            return ()
+        parent = self.t.parent
+        closure = {1 << 2 * v for e in edges for v in (e, parent[e])}
+        sums = [list(map(sum, combinations(
+                    [b for b in bits if b not in closure], m)))
+                for bits, m in zip(self._branches(a), need)]
+        base = sum(2 << 2 * e for e in edges)
+        return map(base.__add__, map(sum, product(*sums)))
+
+    def _branches(self, a):
+        bits = self._bits.get(a)
+        if bits is None:
+            bits = self._bits[a] = [[] for _ in range(self.t.degree(a))]
+            for v, i in enumerate(self.t.directions(a)):
+                bits[i].append(1 << 2 * v)
+        return bits
 
 
 def _independent(columns):
@@ -375,31 +473,34 @@ def verify_morse_counts(t, n, budget=SWIATKOWSKI_BUDGET):
 def verify_d_equals_delta(t, n, forms_sample, rng=None):
     """Check d(omega) = delta(omega) for sampled basic forms.
 
-    t is the base (unsubdivided) tree; the complex is built on the
-    n+2-subdivided tree so that form and complex vertices agree.
-    forms_sample is the number of basic 1-forms to sample (all basic
-    0-forms over essential vertices are always checked).  An n below 2
-    raises ValueError (tree.subdivide_for) before a negative
-    forms_sample does.  Returns a report dict; on budget overflow the
-    report says skipped.
+    t is the base (unsubdivided) tree; the cells are those of UD_nT on
+    the n+2-subdivided tree, so that form and cell vertices agree, made
+    for each form by FormCells.  forms_sample is the number of basic
+    1-forms to sample (all basic 0-forms over essential vertices are
+    always checked).  An n below 2 raises ValueError
+    (tree.subdivided_size) before a negative forms_sample does.
+    Returns a report dict.  It says skipped, before the tree is
+    subdivided, when UD_nT through degree 2 is over COMPLEX_BUDGET, as
+    build_complex would refuse it.
     """
     import random
 
     from . import cells as _cells
     from . import forms as _forms
 
-    ts = _tree.subdivide_for(t, n)
+    size = _tree.subdivided_size(t, n)
     if forms_sample < 0:
         raise ValueError("forms sample must be >= 0, got %d" % forms_sample)
     rng = rng or random.Random(0)
     report = {"tree": _tree.to_text(t), "n": n}
     try:
-        cx = build_complex(ts, n, max_dim=2)
+        _check_budget(size, n, 2, COMPLEX_BUDGET)
     except BudgetExceeded as exc:
         report["skipped"] = str(exc)
         report["pass"] = None
         return report
-    index = OracleIndex(ts, cx)
+    ts = _tree.subdivide_for(t, n)
+    cells = FormCells(ts)
     all_cells = _cells.enumerate_reduced_1cells(ts, n)
     pairs = [
         (c, c1) for c in all_cells for c1 in all_cells if c.a != c1.a]
@@ -407,7 +508,7 @@ def verify_d_equals_delta(t, n, forms_sample, rng=None):
     forms = _forms.basic_0forms(all_cells) + [
         _forms.BasicForm((c.a, c.x), (c1,)) for c, c1 in pairs[:forms_sample]]
     failures = [form for form in forms
-                if not _forms.coboundary_oracle_check(form, ts, index)]
+                if not _forms.coboundary_oracle_check(form, ts, cells)]
     report["checked"] = len(forms)
     report["pass"] = not failures
     report["failures"] = [str(f) for f in failures[:5]]

@@ -159,18 +159,37 @@ def subdivide_for(t, n):
     strands: every path between distinct vertices of degree != 2 has at
     least (n+2)-1 edges.  Plane order and homeomorphism type preserved.
     """
+    return _subdivide(t, _need(n))
+
+
+def subdivided_size(t, n):
+    """len(subdivide_for(t, n)), from the chain lengths alone: the
+    basepoint plus, for each chain of k edges, max(k, n + 1) vertices.
+    Nothing is built, so a caller can refuse an n whose subdivision
+    would not fit in memory."""
+    need = _need(n)
+    return 1 + sum(max(k, need) for k in _chain_lengths(t))
+
+
+def _need(n):
+    """The least chain length subdivide_for gives for n strands."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    need = (n + 2) - 1
-    return _subdivide(t, need)
+    return (n + 2) - 1
 
 
 def is_sufficiently_subdivided(t, n):
     """True iff every path between distinct degree-!=2 vertices has at
     least n-1 edges (Abrams' condition for n strands)."""
-    return all(_chain_end(t, c)[1] >= n - 1
-               for v in range(len(t)) if t.degree(v) != 2
-               for c in t.children[v])
+    return all(k >= n - 1 for k in _chain_lengths(t))
+
+
+def _chain_lengths(t):
+    """The number of edges of each chain below a vertex of degree != 2;
+    every edge lies on exactly one such chain."""
+    return (_chain_end(t, c)[1]
+            for v in range(len(t)) if t.degree(v) != 2
+            for c in t.children[v])
 
 
 def _chain(t, c):

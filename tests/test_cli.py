@@ -488,6 +488,31 @@ class TestErrors:
         assert run(capsys, "delta", tmin_file, "--n", "3000000") \
             == (2, "", "error: Delta is built for n <= 5 only\n")
 
+    @pytest.mark.parametrize("verb", ["subdivide", "cells", "presentation"])
+    def test_huge_n_refused_before_subdividing(self, capsys, tmin_file,
+                                               monkeypatch, verb):
+        # T_MIN's subdivision for 3 000 000 strands has 9 chains of
+        # 3 000 001 edges: it ended in MemoryError
+        def boom(*args):
+            raise AssertionError("n is refused before subdividing")
+
+        monkeypatch.setattr(T, "subdivide_for", boom)
+        assert run(capsys, verb, tmin_file, "--n", "3000000") == (
+            2, "", "error: the subdivision for n = 3000000 has 27000010 "
+            "vertices, more than 1000000\n")
+
+    def test_verify_skips_estimate_too_long_to_print(self, capsys,
+                                                     tmin_file):
+        # the brute-force estimate at n = 4000 has 5459 digits, past the
+        # 4300 that int-to-str conversion allows
+        code, out, err = run(capsys, "verify", tmin_file, "--n", "4000")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["counts"]["pass"] is None
+        assert report["coboundary"]["pass"] is None
+        assert report["coboundary"]["skipped"] == (
+            "estimated a 5459-digit number of cells exceeds budget 5000000")
+
     @pytest.mark.parametrize("verb, n, message", [
         ("subdivide", "1", "n must be >= 2"),
         ("cells", "1", "n must be >= 2"),

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations
+from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +120,20 @@ def decoded(cx):
                           for keys in cx.cells_by_dim], cx.faces)
 
 
+def random_tree(picks):
+    """The tree in which vertex v + 2 hangs from vertex 1 + picks[v] %
+    (v + 1)."""
+    kids = [[1], []]
+    for v, p in enumerate(picks):
+        kids[1 + p % (v + 1)].append(len(kids))
+        kids.append([])
+
+    def emit(v):
+        return "(" + "".join(emit(u) for u in kids[v]) + ")"
+
+    return T.parse_tree(emit(0))
+
+
 def forms_to_check(ts, n, sample, seed):
     """Every basic 0-form, then a seeded sample of basic 1-forms (none
     over a single essential vertex)."""
@@ -176,17 +191,7 @@ class TestComplex:
     @given(st.lists(st.integers(0, 5), max_size=5), st.integers(2, 4))
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_on_random_trees(self, picks, n):
-        # vertex v + 2 hangs from vertex 1 + picks[v] % (v + 1)
-        kids = [[1], []]
-        for v, p in enumerate(picks):
-            kids[1 + p % (v + 1)].append(len(kids))
-            kids.append([])
-
-        def emit(v):
-            return "(" + "".join(emit(u) for u in kids[v]) + ")"
-
-        check_against_reference(
-            O.subdivide_exact(T.parse_tree(emit(0)), n), n)
+        check_against_reference(O.subdivide_exact(random_tree(picks), n), n)
 
     def test_counts_never_decode(self, monkeypatch):
         def refuse(key):
@@ -201,10 +206,15 @@ class TestComplex:
         assert E.check_dd_zero(cx)
         assert {type(key) for keys in cx.cells_by_dim for key in keys} \
             == {int}
+        # FormCells makes keys without decoding them
         ts = T.subdivide_for(T.parse_tree(radial_tree(3)), 3)
-        index = O.OracleIndex(ts, O.build_complex(ts, 3, max_dim=2))
+        cells = O.FormCells(ts)
+        a = T.essential_vertices(ts)[0]
+        ones = list(cells.support(a, (1, 1, 1), frozenset()))
+        assert ones
+        assert list(cells.over(frozenset({ts.children[a][0]}), a, (1, 1, 1)))
         with pytest.raises(AssertionError, match="decoded cell"):
-            index.cell(1, 0)
+            cells.cell(ones[0])
 
     def test_budget(self):
         t = O.subdivide_exact(T.parse_tree(T_MIN), 5)
@@ -290,17 +300,8 @@ class TestSwiatkowski:
     @given(st.lists(st.integers(0, 5), max_size=5), st.integers(0, 4))
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force_on_random_trees(self, picks, n):
-        # vertex v + 2 hangs from vertex 1 + picks[v] % (v + 1); degree-2
-        # vertices and trees with no essential vertex included
-        kids = [[1], []]
-        for v, p in enumerate(picks):
-            kids[1 + p % (v + 1)].append(len(kids))
-            kids.append([])
-
-        def emit(v):
-            return "(" + "".join(emit(u) for u in kids[v]) + ")"
-
-        t = T.parse_tree(emit(0))
+        # degree-2 vertices and trees with no essential vertex included
+        t = random_tree(picks)
         assert O.swiatkowski_betti(t, n) == brute_force_betti(t, n)
 
     def test_matches_critical_counts_on_corpus(self):
@@ -363,24 +364,147 @@ class TestCoboundary:
         assert rep["pass"] is None
         assert rep["skipped"].startswith("estimated ")
 
+    def test_skipped_before_subdividing(self, monkeypatch):
+        # the subdivision for 3 000 000 strands would not fit in memory,
+        # nor would the estimate's 4 090 398 digits take seconds
+        def boom(*args):
+            raise AssertionError("subdivided")
+
+        monkeypatch.setattr(T, "subdivide_for", boom)
+        t = T.parse_tree(T_MIN)
+        rep = O.verify_d_equals_delta(t, 3_000_000, 50)
+        assert rep["pass"] is None
+        assert rep["skipped"] == ("estimated a 4090398-digit number of "
+                                  "cells exceeds budget 5000000")
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            O.verify_d_equals_delta(t, 1, -1)
+
+    def test_subdivided_size(self):
+        for text in CORPUS[::7] + [T_MIN, "(())", "((()))"]:
+            t = T.parse_tree(text)
+            for n in (2, 4, 5, 9):
+                assert T.subdivided_size(t, n) == len(T.subdivide_for(t, n))
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            T.subdivided_size(T.parse_tree(T_MIN), 1)
+
+
+class TestBudgetMessage:
+    def test_digit_count(self):
+        for x in [1, 9, 10, 99, 100, 2 ** 64, 10 ** 4299]:
+            assert O._digit_count(x) == len(str(x)), x
+        for d in [4300, 4301, 5001]:
+            for x in [10 ** (d - 1), 7 * 10 ** (d - 1) + 3, 10 ** d - 1]:
+                assert O._digit_count(x) == d
+
+    def test_long_estimate_named_by_digits(self):
+        assert str(O.BudgetExceeded(10 ** 4300 - 1, 7)) \
+            == "estimated %d cells exceeds budget 7" % (10 ** 4300 - 1)
+        assert str(O.BudgetExceeded(10 ** 4300, 7)) \
+            == "estimated a 4301-digit number of cells exceeds budget 7"
+
+    @pytest.mark.parametrize("n", [3, 50, 700, 4000])
+    def test_log_estimate(self, n):
+        # the lgamma estimate of the log agrees with the exact count
+        size = T.subdivided_size(T.parse_tree(T_MIN), n)
+        exact = O._estimate_cells(size, n, 2)
+        assert abs(O._log10_estimate(size, n, 2)
+                   - O._digit_count(exact) + 1) < 1
+        assert O._digit_count(exact) \
+            == floor(O._log10_estimate(size, n, 2)) + 1
+
+
+def assert_check_matches_scan(ts, n, forms, scanned):
+    """FormCells' check and reference_check's scan of the whole complex
+    (decoded) give every form the same verdict."""
+    cells = O.FormCells(ts)
+    for form in forms:
+        assert F.coboundary_oracle_check(form, ts, cells) \
+            == reference_check(form, ts, scanned), form
+
+
+def assert_cells_match_complex(ts, cx, forms):
+    """Every key set FormCells makes for the forms, and the cofaces of
+    every 1-cell, are the sets read off the complex cx on ts and its
+    faces, each key made once."""
+    ones, twos = cx.cells_by_dim[1:3]
+    cofaces = {key: set() for key in ones}
+    for s, faces in zip(twos, cx.faces[2]):
+        for f in faces:
+            cofaces[ones[f]].add(s)
+    decoded_ = {key: O.decode_cell(key) for key in ones + twos}
+    groups = {}  # (dimension, a, bar) -> profile -> the cells with it
+
+    def with_profile(k, es, a, x, bars):
+        """The k-cells over the edge set es whose profile at a, D or
+        D-bar as bars allow, is x."""
+        out = set()
+        for bar in bars:
+            if (k, a, bar) not in groups:
+                by = groups[k, a, bar] = {}
+                for key in (ones, twos)[k - 1]:
+                    by.setdefault(F._profile(ts, a, decoded_[key], bar),
+                                  set()).add(key)
+            out |= {key for key in groups[k, a, bar].get(x, ())
+                    if es <= decoded_[key].edges}
+        return out
+
+    def made(keys):
+        keys = list(keys)
+        assert len(keys) == len(set(keys))
+        return set(keys)
+
+    def edges(form):
+        return frozenset(ts.children[c.a][c.d - 1] for c in form.factors)
+
+    cells = O.FormCells(ts)
+    for form in forms:
+        a, x = form.base
+        assert made(cells.support(a, x, edges(form))) \
+            == with_profile(1, edges(form), a, x, (False, True))
+        for term in F.differential(form, ts, include_extraneous=True):
+            c = term.factors[0]
+            assert made(cells.over(edges(term), c.a, c.x)) \
+                == with_profile(2, edges(term), c.a, c.x, (False,))
+    for key in ones:
+        assert made(cells.cofaces(decoded_[key])) == cofaces[key]
+
 
 @pytest.mark.parametrize("text,n", [(path_tree([3, 3]), 4),
                                     (radial_tree(3), 5)])
-def test_indexed_check_matches_scan(text, n):
+def test_form_cells_check_matches_scan(text, n):
     # criterion 8's inputs
     ts = T.subdivide_for(T.parse_tree(text), n)
+    scanned = decoded(O.build_complex(ts, n, max_dim=2))
+    assert_check_matches_scan(ts, n, forms_to_check(ts, n, 20, seed=11),
+                              scanned)
+
+
+@given(st.lists(st.integers(0, 5), max_size=4), st.integers(2, 4),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=25, deadline=None)
+def test_form_cells_on_random_trees(picks, n, seed):
+    # degree-2 vertices and trees with no essential vertex (no forms)
+    # included; the full scan takes up to a second a form, so it judges
+    # three of them
+    ts = T.subdivide_for(random_tree(picks), n)
     cx = O.build_complex(ts, n, max_dim=2)
-    index = O.OracleIndex(ts, cx)
-    scanned = decoded(cx)
-    for form in forms_to_check(ts, n, 20, seed=11):
-        assert F.coboundary_oracle_check(form, ts, index) \
-            == reference_check(form, ts, scanned), form
+    forms = forms_to_check(ts, n, 5, seed)
+    assert_cells_match_complex(ts, cx, forms)
+    assert_check_matches_scan(
+        ts, n, random.Random(seed).sample(forms, min(3, len(forms))),
+        decoded(cx))
+
+
+def test_form_cells_match_complex():
+    ts = T.subdivide_for(T.parse_tree(path_tree([3, 3])), 3)
+    forms = forms_to_check(ts, 3, 40, seed=5)
+    assert any(form.factors for form in forms)
+    assert_cells_match_complex(ts, O.build_complex(ts, 3, max_dim=2), forms)
 
 
 def test_dropped_term_fails_both(monkeypatch):
     ts = T.subdivide_for(T.parse_tree(radial_tree(3)), 3)
-    cx = O.build_complex(ts, 3, max_dim=2)
-    index = O.OracleIndex(ts, cx)
+    cells = O.FormCells(ts)
     differential = F.differential
 
     def drop_one(form, t, include_extraneous=False):
@@ -390,15 +514,15 @@ def test_dropped_term_fails_both(monkeypatch):
     forms = F.basic_0forms(C.enumerate_reduced_1cells(ts, 3))
     assert forms
     monkeypatch.setattr(F, "differential", drop_one)
-    scanned = decoded(cx)
+    scanned = decoded(O.build_complex(ts, 3, max_dim=2))
     for form in forms:
-        assert not F.coboundary_oracle_check(form, ts, index), form
+        assert not F.coboundary_oracle_check(form, ts, cells), form
         assert not reference_check(form, ts, scanned), form
 
 
 def test_check_decodes_only_what_eval_form_reads(monkeypatch):
-    # building the index decodes nothing, and the check decodes one
-    # cell for each eval_form call
+    # the check decodes one cell for each eval_form call, and builds no
+    # complex
     calls = Counter()
 
     def counting(name, fn):
@@ -407,18 +531,12 @@ def test_check_decodes_only_what_eval_form_reads(monkeypatch):
             return fn(*args)
         return counted
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the complex")
+
     monkeypatch.setattr(O, "decode_cell", counting("decode", O.decode_cell))
     monkeypatch.setattr(F, "eval_form", counting("eval", F.eval_form))
-    index_cls = O.OracleIndex
-
-    def build_index(t, complex_):
-        index = index_cls(t, complex_)
-        assert calls["decode"] == 0
-        calls["index"] += 1
-        return index
-
-    monkeypatch.setattr(O, "OracleIndex", build_index)
+    monkeypatch.setattr(O, "build_complex", refuse)
     rep = O.verify_d_equals_delta(T.parse_tree(path_tree([3, 3])), 3, 20)
     assert rep["pass"] is True
-    assert calls["index"] == 1
     assert calls["decode"] == calls["eval"] > 0
