@@ -4,7 +4,8 @@ Command-line surface.
 Exit codes: 0 success / decided true, 1 decided false (iso) or failed
 verification, 2 invalid input or usage, 3 Undefined: no tree braid Delta
 (reconstruct, detect-n, iso), 4 internal error (an uncaught exception,
-reported on stderr).
+reported on stderr).  3 and 4 hold even when the report cannot be
+written.
 """
 
 from __future__ import annotations
@@ -264,13 +265,22 @@ def main(argv=None):
     except BrokenPipeError:
         return 0
     except _delta.Undefined as exc:  # the input is no tree braid Delta
-        print("undefined: %s" % exc, file=sys.stderr)
+        _report("undefined: %s", exc)
         return 3
     except Exception as exc:
         # exit 1 means "not isomorphic"; a fault must not read as an answer
-        print("internal error: %s: %s" % (type(exc).__name__, exc),
-              file=sys.stderr)
+        _report("internal error: %s: %s", type(exc).__name__, exc)
         return 4
+
+
+def _report(fmt, *args):
+    """Print fmt % args on stderr.  A report that cannot be written (a
+    MemoryError with no memory left to format or print it) is dropped,
+    so that the exit code still says what happened."""
+    try:
+        print(fmt % args, file=sys.stderr)
+    except Exception:
+        pass
 
 
 if __name__ == "__main__":

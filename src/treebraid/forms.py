@@ -467,28 +467,35 @@ def build_complex_K(t, n):
 # cup product normal forms
 
 
+_ZERO = frozenset()
+
+
 def cup_normal_form(c1, c2, t, n, order=None):
     """Expansion of [dc1 ^ dc2] over the critical-2-cell basis.
 
     Returns a frozenset of frozenset pairs of critical 1-cells, each
     pair naming the critical 2-cell that is the least upper bound of its
-    classes.  The expansion is a Z/2 sum, worked off a list of pairs
-    starting from (c1, c2): a pair with no upper bound is dropped, one
-    whose least upper bound is critical is added to the sum, and any
-    other is replaced by (cell, other) for each cell of the coboundary
-    support chain of its pivot.  That chain comes from the relations of
-    the presentation: the necessary 1-form witnessing the respectful
-    edge, or the necessary 0-form of a noncritical member.  Each
-    replacement trades the pivot for strictly <_r-larger cells over the
-    same vertex, so the list runs out.  n and order are not read; they
-    stay for callers that pass them.
+    classes.  A zero product is always the one shared empty frozenset,
+    so callers that memoize every pair hold no object per zero.  Cells
+    over one vertex, and pairs with no upper bound, return it before
+    anything is built.  Otherwise the expansion is a Z/2 sum, worked
+    off a list of pairs starting from (c1, c2): a pair with no upper
+    bound is never put on the list, one whose least upper bound is
+    critical is added to the sum, and any other is replaced by
+    (cell, other) for each cell of the coboundary support chain of its
+    pivot.  That chain comes from the relations of the presentation:
+    the necessary 1-form witnessing the respectful edge, or the
+    necessary 0-form of a noncritical member.  Each replacement trades
+    the pivot for strictly <_r-larger cells over the same vertex, so the
+    list runs out.  n and order are not read; they stay for callers that
+    pass them.
     """
+    if c1.a == c2.a or not _cells.upper_bound_exists(c1, c2, t):
+        return _ZERO
     out = set()
     work = [(c1, c2)]
     while work:
         p, q = work.pop()
-        if not _cells.upper_bound_exists(p, q, t):
-            continue
         if p.a > q.a:
             p, q = q, p
         p_dis, q_dis = _cells.edge_disrespectful_in_lub(p, q, t)
@@ -500,5 +507,6 @@ def cup_normal_form(c1, c2, t, n, order=None):
         # the noncritical q (rewritten via its necessary 0-form)
         pivot, other = (p, q) if q_dis else (q, p)
         work.extend((cell, other) for cell in _differential_terms(
-            t, pivot.a, pivot.x, False) if cell != pivot)
-    return frozenset(out)
+            t, pivot.a, pivot.x, False)
+            if cell != pivot and _cells.upper_bound_exists(cell, other, t))
+    return frozenset(out) if out else _ZERO

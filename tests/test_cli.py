@@ -378,6 +378,21 @@ class TestErrors:
         assert (code, out) == (4, "")
         assert err.startswith("internal error: RuntimeError: boom")
 
+    @pytest.mark.parametrize("error, code", [(MemoryError, 4),
+                                             (D.Undefined, 3)])
+    def test_unwritable_report_keeps_exit_code(self, monkeypatch, error,
+                                               code):
+        # no memory left: the fault and its report both raise MemoryError
+        def boom(n, x):
+            raise error("boom")
+
+        def no_memory(text):
+            raise MemoryError
+
+        monkeypatch.setattr(cli._cells, "radial_rank", boom)
+        monkeypatch.setattr(sys.stderr, "write", no_memory)
+        assert cli.main(["radial-rank", "--n", "4", "--degree", "3"]) == code
+
     def test_bad_delta_exit_2(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

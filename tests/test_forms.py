@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from treebraid import cells as C, forms as F, tree as T
@@ -277,13 +279,77 @@ class TestCup:
     @pytest.mark.parametrize("text", [T_MIN, path_tree([3, 4, 3])])
     @pytest.mark.parametrize("n", [4, 5])
     def test_matches_sorted_rewriting(self, text, n):
+        # the rewriting pairs, then every pair of critical cells, most of
+        # them zero (over one vertex, or with no upper bound)
         t = T.subdivide_for(T.parse_tree(text), n)
         order = F.ROrder(t, n)
         pairs = rewriting_pairs(order.cells, t)
         assert pairs
+        crit = order.critical
+        pairs += [(c1, c2) for i, c1 in enumerate(crit) for c2 in crit[i + 1:]]
+        zero = 0
         for c1, c2 in pairs:
-            assert F.cup_normal_form(c1, c2, t, n, order) \
-                == E.sorted_cup_normal_form(c1, c2, t, order), (c1, c2)
+            nf = F.cup_normal_form(c1, c2, t, n, order)
+            assert nf == E.sorted_cup_normal_form(c1, c2, t, order), (c1, c2)
+            zero += not nf
+        assert 0 < zero < len(pairs)
+
+    def test_zero_is_one_object(self):
+        t, order, pairs = term_pairs(path_tree([3, 4, 5]), 4)
+        results = [F.cup_normal_form(u, v, t, 4, order) for u, v in pairs]
+        assert any(results)
+        assert len({id(r) for r in results if not r}) == 1
+
+    def test_one_vertex_reads_no_upper_bound(self, tmin4, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("called upper_bound_exists")
+
+        t, cells = tmin4
+        c1, c2 = [c for c in cells if c.a == cells[0].a][:2]
+        monkeypatch.setattr(C, "upper_bound_exists", refuse)
+        assert F.cup_normal_form(c1, c2, t, 4) == frozenset()
+
+    def test_strand_counts_differ(self, tmin4):
+        t, cells = tmin4
+        c1 = cells[0]
+        c2 = next(c for c in cells if c.a != c1.a)
+        c2 = c2._replace(x=(c2.x[0] + 1,) + c2.x[1:])
+        with pytest.raises(ValueError):
+            F.cup_normal_form(c1, c2, t, 4)
+
+    def test_memoized_zeros_hold_no_memory(self):
+        # every term pair of path [4, 5] at n = 5 memoized, as criterion 9
+        # and the verify pass do: 228 of the 20 944 products are nonzero
+        t, order, pairs = term_pairs(path_tree([4, 5]), 5)
+        tracemalloc.start()
+        try:
+            memo = {frozenset(p): F.cup_normal_form(*p, t, 5, order)
+                    for p in pairs}
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = snapshot.filter_traces(
+            [tracemalloc.Filter(True, F.__file__)]).statistics("filename")
+        assert len(memo) == 20944
+        assert sum(s.size for s in held) < 512 * 1024
+
+
+def term_pairs(text, n):
+    """(t, order, pairs): the tree text subdivided for n, its <_r order,
+    and one (u, v) per unordered pair of terms that criterion 9 reads:
+    u a term of the M-column of one critical cell, v of a later one."""
+    t = T.subdivide_for(T.parse_tree(text), n)
+    order = F.ROrder(t, n)
+    _, _, m = F.build_M(t, n, order)
+    terms = [[order.cells[i] for i in range(order.rm)
+              if m[order.ri[c]] >> i & 1] for c in order.critical]
+    pairs = {}
+    for i, us in enumerate(terms):
+        for vs in terms[i + 1:]:
+            for u in us:
+                for v in vs:
+                    pairs.setdefault(frozenset((u, v)), (u, v))
+    return t, order, list(pairs.values())
 
 
 def rewriting_pairs(cells, t):
