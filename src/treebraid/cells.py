@@ -6,7 +6,8 @@ A reduced 1-cell is written (a, d, x) where a is an essential vertex, d
 a direction at a with d >= 1, and x the a-vector: x[i] counts strands in
 direction i from a, with the edge of the cell counted once in direction
 d (so x[d] >= 1 and sum(x) = n).  Non-extraneous means some strand lies
-off directions {0, d}.
+off directions {0, d}.  edge_disrespectful_in_lub is the one home of
+the Upper Bound Lemma: it decides a pair of cells in one call.
 """
 
 from __future__ import annotations
@@ -97,37 +98,35 @@ def enumerate_reduced_1cells(t, n):
 
 
 def upper_bound_exists(c1, c2, t):
-    """Upper Bound Lemma test: with a <= b, alpha the direction from a to
-    b, the pair {[c1],[c2]} has an upper bound iff a != b and
-    x[alpha] + y[0] >= n + eps, eps = 1 iff d == alpha.  Raises
-    ValueError when the cells have different strand counts."""
-    if c1.a > c2.a:
-        c1, c2 = c2, c1
-    elif c1.a == c2.a:
-        return False
-    n = sum(c1.x)
-    if sum(c2.x) != n:
-        raise ValueError("cells %r and %r differ in strand count" % (c1, c2))
-    alpha = t.directions(c1.a)[c2.a]
-    return c1.x[alpha] + c2.x[0] >= n + (c1.d == alpha)
+    """Whether {[c1],[c2]} has an upper bound (edge_disrespectful_in_lub)."""
+    return edge_disrespectful_in_lub(c1, c2, t) is not None
 
 
 def edge_disrespectful_in_lub(c1, c2, t):
-    """Disrespect flags (for the edge of c1, the edge of c2) in the
-    reduced representative of the least upper bound of {c1, c2}, in the
-    argument order given; the least upper bound is critical iff both
-    are true.  Raises ValueError when the pair has no upper bound.
+    """The Upper Bound Lemma and the flags of the least upper bound.
+
+    With (a, d, x) and (b, e, y) the cells, a <= b, and alpha the
+    direction from a to b, {[c1],[c2]} has an upper bound iff a != b
+    and x[alpha] + y[0] >= n + eps, eps = 1 iff d == alpha.  Returns
+    None when it has none; else the disrespect flags (for the edge of
+    c1, the edge of c2) in the reduced representative of the least
+    upper bound, in the argument order given, and that bound is
+    critical iff both are true.  Raises ValueError when the cells have
+    different strand counts.
     """
     swapped = c1.a > c2.a
     a, b = (c2, c1) if swapped else (c1, c2)
-    if not upper_bound_exists(a, b, t):
-        raise ValueError("no upper bound")
+    if a.a == b.a:
+        return None
     n = sum(a.x)
-    alpha = _tree.direction(t, a.a, b.a)
-    y0 = b.x[0]
-    clause_a = 0 < alpha < a.d and a.x[alpha] + y0 > n
-    clause_b = any(
-        a.x[i] > 0 for i in range(1, a.d) if i != alpha)
+    if sum(b.x) != n:
+        raise ValueError("cells %r and %r differ in strand count" % (a, b))
+    alpha = t.directions(a.a)[b.a]
+    reach = a.x[alpha] + b.x[0]
+    if reach < n + (a.d == alpha):
+        return None
+    clause_a = 0 < alpha < a.d and reach > n
+    clause_b = any(a.x[i] > 0 for i in range(1, a.d) if i != alpha)
     e_flag = clause_a or clause_b
     f_flag = is_critical(b)
     return (f_flag, e_flag) if swapped else (e_flag, f_flag)
@@ -143,9 +142,9 @@ def template_joins(t, n, template, decide):
 
     positions are the template positions p with decide(cells[i + p],
     cells[bucket[0]]) true, so decide must read the first cell only
-    through (d, x) and alpha and the second only through y0, as the
-    Upper Bound Lemma lets upper_bound_exists, and the flags of
-    edge_disrespectful_in_lub and m_cup_adjacent on critical cells, do.
+    through (d, x) and alpha and the second only through y0.  The
+    Upper Bound Lemma lets upper_bound_exists (edge_disrespectful_in_lub
+    is not None) do so, and m_cup_adjacent on critical cells too.
     It is called once per (degree of a, alpha, y0) and template
     position, whatever the number of vertices.  Buckets are held for
     one vertex a at a time.

@@ -212,11 +212,12 @@ def m_cup_adjacent(c, cp, t):
     (2) s Type I and the least upper bound is noncritical,
     (3) s Type II, critical least upper bound, and the direction toward
     the other cell is not s's smallest occupied direction."""
-    if c == cp or c.a == cp.a or not _cells.upper_bound_exists(c, cp, t):
+    flags = _cells.edge_disrespectful_in_lub(c, cp, t)  # None over one vertex
+    if flags is None:
         return False
     # <_r sorts by vertex first, and c.a != cp.a
     small, other = (c, cp) if c.a < cp.a else (cp, c)
-    s_critical = all(_cells.edge_disrespectful_in_lub(c, cp, t))
+    s_critical = all(flags)
     kind = _forms.classify_exceptional(small)
     if kind == "I":
         return not s_critical

@@ -201,12 +201,9 @@ def is_necessary(form, t):
         if x[d] < 1:
             continue
         c = ReducedOneCell(a, d, tuple(x))
-        if c == c1 or not _cells.is_valid_reduced(c, t):
-            continue
-        if not _cells.upper_bound_exists(c, c1, t):
-            continue
-        own_flag, other_flag = _cells.edge_disrespectful_in_lub(c, c1, t)
-        if not own_flag and other_flag:  # e is the unique respectful edge
+        # e is the unique respectful edge of the least upper bound
+        if (_cells.is_valid_reduced(c, t) and
+                _cells.edge_disrespectful_in_lub(c, c1, t) == (False, True)):
             found.append(c)
     if len(found) > 1:
         raise RuntimeError("necessary 1-cell is not unique: %r" % (found,))
@@ -477,28 +474,31 @@ def cup_normal_form(c1, c2, t, n, order=None):
     pair naming the critical 2-cell that is the least upper bound of its
     classes.  A zero product is always the one shared empty frozenset,
     so callers that memoize every pair hold no object per zero.  Cells
-    over one vertex, and pairs with no upper bound, return it before
-    anything is built.  Otherwise the expansion is a Z/2 sum, worked
-    off a list of pairs starting from (c1, c2): a pair with no upper
-    bound is never put on the list, one whose least upper bound is
-    critical is added to the sum, and any other is replaced by
-    (cell, other) for each cell of the coboundary support chain of its
-    pivot.  That chain comes from the relations of the presentation:
-    the necessary 1-form witnessing the respectful edge, or the
-    necessary 0-form of a noncritical member.  Each replacement trades
-    the pivot for strictly <_r-larger cells over the same vertex, so the
-    list runs out.  n and order are not read; they stay for callers that
-    pass them.
+    over one vertex return it before any pair is decided, and a pair
+    with no upper bound (edge_disrespectful_in_lub gives None) once that
+    one call has decided it.  Otherwise the expansion is a Z/2 sum,
+    worked off a list of (p, q, flags) starting from c1, c2: a pair is
+    put on the list only when its one call gives flags, one whose least
+    upper bound is critical is added to the sum, and any other is
+    replaced by (cell, other) for each cell of the coboundary support
+    chain of its pivot.  That chain comes from the relations of the
+    presentation: the necessary 1-form witnessing the respectful edge,
+    or the necessary 0-form of a noncritical member.  Each replacement
+    trades the pivot for strictly <_r-larger cells over the same vertex,
+    so the list runs out.  n and order are not read; they stay for
+    callers that pass them.
     """
-    if c1.a == c2.a or not _cells.upper_bound_exists(c1, c2, t):
+    if c1.a == c2.a:
+        return _ZERO
+    flags = _cells.edge_disrespectful_in_lub(c1, c2, t)
+    if flags is None:
         return _ZERO
     out = set()
-    work = [(c1, c2)]
+    work = [(c1, c2, flags)]
     while work:
-        p, q = work.pop()
+        p, q, (p_dis, q_dis) = work.pop()
         if p.a > q.a:
-            p, q = q, p
-        p_dis, q_dis = _cells.edge_disrespectful_in_lub(p, q, t)
+            p, q, p_dis, q_dis = q, p, q_dis, p_dis
         if p_dis and q_dis:  # the least upper bound is critical
             out ^= {frozenset((p, q))}
             continue
@@ -506,7 +506,7 @@ def cup_normal_form(c1, c2, t, n, order=None):
         # disrespectful (p is then the necessary cell of f(p)dq), else
         # the noncritical q (rewritten via its necessary 0-form)
         pivot, other = (p, q) if q_dis else (q, p)
-        work.extend((cell, other) for cell in _differential_terms(
-            t, pivot.a, pivot.x, False)
-            if cell != pivot and _cells.upper_bound_exists(cell, other, t))
+        work.extend((cell, other, f) for cell in _differential_terms(
+            t, pivot.a, pivot.x, False) if cell != pivot
+            and (f := _cells.edge_disrespectful_in_lub(cell, other, t)))
     return frozenset(out) if out else _ZERO

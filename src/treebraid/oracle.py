@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from . import tree as _tree
 
-# the most cells build_complex makes by default, and the most that
+# the most cells build_complex makes, and the most that
 # verify_d_equals_delta checks forms on
 COMPLEX_BUDGET = 5_000_000
 
@@ -134,21 +134,21 @@ def _log10_estimate(V, n, max_dim):
     return (top + log(sum(exp(x - top) for x in terms))) / log(10)
 
 
-def _check_budget(V, n, max_dim, budget):
+def _check_budget(V, n, max_dim):
     """Raise BudgetExceeded when _estimate_cells(V, n, max_dim) is over
-    budget.  An estimate of more than 4300 digits is not computed
-    (math.comb takes minutes at a million digits): its digit count comes
-    from _log10_estimate, so it may be one off where that log lies
-    within about 1e-6 of an integer."""
+    COMPLEX_BUDGET, read at call time.  An estimate of more than 4300
+    digits is not computed (math.comb takes minutes at a million
+    digits): its digit count comes from _log10_estimate, so it may be
+    one off where that log lies within about 1e-6 of an integer."""
     log_est = _log10_estimate(V, n, max_dim)
     if log_est >= _STR_DIGITS:
-        raise BudgetExceeded(None, budget, digits=floor(log_est) + 1)
+        raise BudgetExceeded(None, COMPLEX_BUDGET, floor(log_est) + 1)
     est = _estimate_cells(V, n, max_dim)
-    if est > budget:
-        raise BudgetExceeded(est, budget)
+    if est > COMPLEX_BUDGET:
+        raise BudgetExceeded(est, COMPLEX_BUDGET)
 
 
-def build_complex(t, n, max_dim=3, budget=COMPLEX_BUDGET):
+def build_complex(t, n, max_dim=3):
     """Enumerate all cells of UD_nT up to dimension max_dim.
 
     t must be sufficiently subdivided for n strands.  The cells of
@@ -165,7 +165,7 @@ def build_complex(t, n, max_dim=3, budget=COMPLEX_BUDGET):
         raise ValueError("n must be >= 0")
     if not _tree.is_sufficiently_subdivided(t, n):
         raise ValueError("tree is not sufficiently subdivided for n strands")
-    _check_budget(len(t), n, max_dim, budget)
+    _check_budget(len(t), n, max_dim)
     parent = t.parent
     top = min(max_dim, n)
     keys = []
@@ -419,7 +419,7 @@ def swiatkowski_sizes(t, n):
             for k in range(min(3, n) + 1)]
 
 
-def swiatkowski_betti(t, n, budget=SWIATKOWSKI_BUDGET):
+def swiatkowski_betti(t, n):
     """(b_0, b_1, b_2) of B_nT from the reduced Świątkowski complex.
 
     The complex needs no subdivision: the tree t is read with its
@@ -433,18 +433,18 @@ def swiatkowski_betti(t, n, budget=SWIATKOWSKI_BUDGET):
     _homology.
 
     Raises BudgetExceeded before making any cell when the complex has
-    more than budget cells.
+    more than SWIATKOWSKI_BUDGET cells.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     dims = swiatkowski_sizes(t, n)
-    if sum(dims) > budget:
-        raise BudgetExceeded(sum(dims), budget)
+    if sum(dims) > SWIATKOWSKI_BUDGET:
+        raise BudgetExceeded(sum(dims), SWIATKOWSKI_BUDGET)
     n_edges, gens = _swiatkowski_generators(t)
     return _homology(dims, lambda k: _swiatkowski_cells(n_edges, gens, n, k))
 
 
-def verify_morse_counts(t, n, budget=SWIATKOWSKI_BUDGET):
+def verify_morse_counts(t, n):
     """Compare the Betti numbers of the reduced Świątkowski complex
     (swiatkowski_betti) against the Morse-theoretic critical cell
     counts.  Returns a JSON-ready report dict whose cells are that
@@ -459,7 +459,7 @@ def verify_morse_counts(t, n, budget=SWIATKOWSKI_BUDGET):
         "morse": [c1, c2],
     }
     try:
-        b0, b1, b2 = swiatkowski_betti(t, n, budget)
+        b0, b1, b2 = swiatkowski_betti(t, n)
     except BudgetExceeded as exc:
         report["skipped"] = str(exc)
         report["pass"] = None
@@ -494,7 +494,7 @@ def verify_d_equals_delta(t, n, forms_sample, rng=None):
     rng = rng or random.Random(0)
     report = {"tree": _tree.to_text(t), "n": n}
     try:
-        _check_budget(size, n, 2, COMPLEX_BUDGET)
+        _check_budget(size, n, 2)
     except BudgetExceeded as exc:
         report["skipped"] = str(exc)
         report["pass"] = None

@@ -87,6 +87,23 @@ class TestUpperBounds:
                 if c1.a == c2.a:
                     assert not C.upper_bound_exists(c1, c2, t)
 
+    @pytest.mark.parametrize("text,n", [(path_tree([3, 4]), 4),
+                                        (path_tree([4, 3]), 4), (T_MIN, 5)])
+    def test_none_iff_no_upper_bound(self, text, n):
+        # the lemma written out: with a <= b and alpha the direction from
+        # a to b, x[alpha] + y0 >= n + [d == alpha]
+        t, cells = _cells_of(text, n)
+        for c1, c2 in product(cells, cells):
+            a, b = sorted((c1, c2), key=lambda c: c.a)
+            alpha = T.direction(t, a.a, b.a)
+            bounded = (a.a != b.a
+                       and a.x[alpha] + b.x[0] >= n + (a.d == alpha))
+            flags = C.edge_disrespectful_in_lub(c1, c2, t)
+            assert (flags is not None) == bounded
+            assert C.upper_bound_exists(c1, c2, t) == bounded
+            if bounded:
+                assert C.edge_disrespectful_in_lub(c2, c1, t) == flags[::-1]
+
     def test_lub_contains_both_edges(self):
         n = 4
         t, cells = _cells_of(path_tree([3, 3]), n)

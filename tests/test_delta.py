@@ -55,6 +55,17 @@ class TestBuild:
                 assert (D.m_cup_adjacent(c, c2, t)
                         == D.m_cup_adjacent(c2, c, t))
 
+    def test_pair_decided_in_one_call(self, tmin5, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("called upper_bound_exists")
+
+        t, dg = tmin5
+        pairs = list(product(dg.cells, dg.cells))
+        want = [D.m_cup_adjacent(c, cp, t) for c, cp in pairs]
+        assert any(want)
+        monkeypatch.setattr(C, "upper_bound_exists", refuse)
+        assert [D.m_cup_adjacent(c, cp, t) for c, cp in pairs] == want
+
 
 class TestCupConstant:
     def test_zero_outside_range(self, tmin5):

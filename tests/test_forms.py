@@ -21,6 +21,15 @@ def mixed5():
     return t, C.enumerate_reduced_1cells(t, 5)
 
 
+@pytest.fixture(scope="module")
+def p345_terms():
+    return term_pairs(path_tree([3, 4, 5]), 4)
+
+
+def refuse_upper_bound_exists(*args):
+    raise AssertionError("called upper_bound_exists")
+
+
 class TestEval:
     def test_dc_on_own_cell(self, tmin4):
         t, cells = tmin4
@@ -105,6 +114,17 @@ class TestNecessary:
             if hits >= 25:
                 break
         assert hits > 0
+
+    def test_one_form_decided_in_one_call(self, tmin4, monkeypatch):
+        # every f(a, x)dc_1 with c_1 critical and over another vertex
+        t, cells = tmin4
+        forms = [F.BasicForm(base, (c1,))
+                 for base in dict.fromkeys((c.a, c.x) for c in cells)
+                 for c1 in cells if C.is_critical(c1) and c1.a != base[0]]
+        want = [F.is_necessary(form, t) for form in forms]
+        assert any(want)
+        monkeypatch.setattr(C, "upper_bound_exists", refuse_upper_bound_exists)
+        assert [F.is_necessary(form, t) for form in forms] == want
 
 
 class TestExceptional:
@@ -294,19 +314,27 @@ class TestCup:
             zero += not nf
         assert 0 < zero < len(pairs)
 
-    def test_zero_is_one_object(self):
-        t, order, pairs = term_pairs(path_tree([3, 4, 5]), 4)
+    def test_zero_is_one_object(self, p345_terms):
+        t, order, pairs = p345_terms
         results = [F.cup_normal_form(u, v, t, 4, order) for u, v in pairs]
         assert any(results)
         assert len({id(r) for r in results if not r}) == 1
 
+    def test_term_pairs_decided_in_one_call(self, p345_terms, monkeypatch):
+        t, order, pairs = p345_terms
+        want = [F.cup_normal_form(u, v, t, 4, order) for u, v in pairs]
+        monkeypatch.setattr(C, "upper_bound_exists", refuse_upper_bound_exists)
+        assert [F.cup_normal_form(u, v, t, 4, order)
+                for u, v in pairs] == want
+
     def test_one_vertex_reads_no_upper_bound(self, tmin4, monkeypatch):
         def refuse(*args):
-            raise AssertionError("called upper_bound_exists")
+            raise AssertionError("decided a pair over one vertex")
 
         t, cells = tmin4
         c1, c2 = [c for c in cells if c.a == cells[0].a][:2]
         monkeypatch.setattr(C, "upper_bound_exists", refuse)
+        monkeypatch.setattr(C, "edge_disrespectful_in_lub", refuse)
         assert F.cup_normal_form(c1, c2, t, 4) == frozenset()
 
     def test_strand_counts_differ(self, tmin4):

@@ -48,8 +48,9 @@ class TestCells:
         t, cells = tmin4
         c1, c2 = _bounded_pair(t, cells)
         c2 = c2._replace(x=(c2.x[0] + 1,) + c2.x[1:])
-        with pytest.raises(ValueError):
-            C.upper_bound_exists(c1, c2, t)
+        for decide in (C.upper_bound_exists, C.edge_disrespectful_in_lub):
+            with pytest.raises(ValueError, match="differ in strand count"):
+                decide(c1, c2, t)
 
     def test_lub_reduced_wrong_n(self, tmin4):
         t, cells = tmin4

@@ -216,10 +216,11 @@ class TestComplex:
         with pytest.raises(AssertionError, match="decoded cell"):
             cells.cell(ones[0])
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         t = O.subdivide_exact(T.parse_tree(T_MIN), 5)
+        monkeypatch.setattr(O, "COMPLEX_BUDGET", 10)
         with pytest.raises(O.BudgetExceeded):
-            O.build_complex(t, 5, max_dim=3, budget=10)
+            O.build_complex(t, 5, max_dim=3)
 
 
 @given(st.lists(st.frozensets(st.integers(0, 24), max_size=6), max_size=30))
@@ -245,9 +246,9 @@ class TestBetti:
         assert rep["pass"] is True
         assert rep["b"][0] == 1
 
-    def test_report_skips_over_budget(self):
-        rep = O.verify_morse_counts(
-            T.parse_tree(T_MIN), 5, budget=100)
+    def test_report_skips_over_budget(self, monkeypatch):
+        monkeypatch.setattr(O, "SWIATKOWSKI_BUDGET", 100)
+        rep = O.verify_morse_counts(T.parse_tree(T_MIN), 5)
         assert rep["pass"] is None
         assert "skipped" in rep
 
@@ -345,9 +346,11 @@ class TestSwiatkowski:
             raise AssertionError("made a cell")
 
         monkeypatch.setattr(O, "_swiatkowski_cells", refuse)
-        with pytest.raises(O.BudgetExceeded,
-                           match="^estimated 10647 cells exceeds budget 100$"):
-            O.swiatkowski_betti(T.parse_tree(T_MIN), 5, budget=100)
+        with monkeypatch.context() as m, pytest.raises(
+                O.BudgetExceeded,
+                match="^estimated 10647 cells exceeds budget 100$"):
+            m.setattr(O, "SWIATKOWSKI_BUDGET", 100)
+            O.swiatkowski_betti(T.parse_tree(T_MIN), 5)
         # the path of eight degree-5 vertices: 637 945 cells at n = 4
         with pytest.raises(O.BudgetExceeded, match="^estimated 637945 "):
             O.swiatkowski_betti(T.parse_tree(path_tree([5] * 8)), 4)
