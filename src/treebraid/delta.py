@@ -1,8 +1,8 @@
 """
 The simplicial complex Delta carrying the exterior-face-algebra
 structure of H*(B_nT), built from its twin quotient cells.cub_quotient;
-the neighborhood hierarchy, reconstruction of the defining tree from
-Delta, strand-count detection, and the isomorphism decision, n in {4, 5}.
+the neighborhood hierarchy, the defining tree grown back as a PlaneTree
+(checked once, in _grow), n detection and the iso decision, n in {4, 5}.
 """
 
 from __future__ import annotations
@@ -114,23 +114,29 @@ class DeltaGraph:
         """The Hierarchy of this Delta; read it through hierarchy()."""
         return Hierarchy(self)
 
+    def _rows(self):
+        """(id, cell or None) per vertex, and the sorted [i, j] per edge."""
+        return (enumerate(self.cells or repeat(None, self.num_vertices)),
+                sorted(map(sorted, self.edges)))
+
     def to_json(self):
-        out = {"vertices": [], "edges": sorted(sorted(e) for e in self.edges)}
+        labels, edges = self._rows()
+        out = {"vertices": [{"id": i} if c is None else
+                            {"id": i, "cell": c.to_json()} for i, c in labels],
+               "edges": edges}
         if self.n is not None:
             out["n"] = self.n
-        for i, c in enumerate(self.cells or [None] * self.num_vertices):
-            v = {"id": i}
-            if c is not None:
-                v["cell"] = c.to_json()
-            out["vertices"].append(v)
         return out
 
     @classmethod
     def from_json(cls, obj):
-        """The Delta of a JSON object (see to_json).  Ids, edge endpoints,
-        the label fields a, d, x and n must be JSON integers; n may be
-        absent or null (unknown) and any vertex may go unlabelled."""
+        """The Delta of a JSON object (see to_json).  vertices and edges
+        must be JSON lists; ids, edge endpoints, the label fields a, d, x
+        and n must be JSON integers; n may be absent or null (unknown)
+        and any vertex may go unlabelled."""
         verts, get_id = obj["vertices"], itemgetter("id")
+        if {type(verts), type(obj["edges"])} != {list}:  # {} reads as empty
+            raise ValueError("vertices and edges must be JSON lists")
         ids = list(map(get_id, verts))
         if not set(map(type, ids)) <= {int} \
                 or sorted(ids) != list(range(len(ids))):
@@ -153,13 +159,13 @@ class DeltaGraph:
                    cells=map(cell_at.get, range(len(ids))), n=n)
 
     def to_dot(self):
+        labels, edges = self._rows()
         lines = ["graph Delta {"]
-        for i, c in enumerate(self.cells or [None] * self.num_vertices):
+        for i, c in labels:
             label = "" if c is None else \
                 ' [label="%d,%d,%s"]' % (c.a, c.d, list(c.x))
             lines.append("  v%d%s;" % (i, label))
-        for e in sorted(sorted(x) for x in self.edges):
-            lines.append("  v%d -- v%d;" % (e[0], e[1]))
+        lines.extend("  v%d -- v%d;" % (i, j) for i, j in edges)
         lines.append("}")
         return "\n".join(lines)
 
@@ -373,23 +379,23 @@ def _solve_Y(m, target):
 
 
 def _grow_tree(children_of, pdeg):
-    """Plane tree text: * - p_1 - (subtrees + leaves), children_of[v]
-    listing the children of v in order from "p1" down, and each vertex
-    v padded with leaf edges up to its target degree pdeg[v]."""
-    out = ["("]
-    # a list [v] opens vertex v; a string is the text that closes one
-    todo = [")", ["p1"]]
+    """The PlaneTree * - p_1 - (subtrees + leaves), ids in preorder:
+    children_of[v] lists the children of v in order from "p1" down, and
+    v is padded with leaf edges up to its target degree pdeg[v]."""
+    parent, children = [None], [[]]
+    # (v, p): planned vertex v, or None for a padding leaf, below id p
+    todo = [("p1", 0)]
     while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        (v,) = item
-        kids = children_of.get(v, [])
-        out.append("(")
-        todo.append("()" * (pdeg[v] - 1 - len(kids)) + ")")
-        todo.extend([u] for u in reversed(kids))
-    return "".join(out)
+        v, p = todo.pop()
+        i = len(parent)
+        parent.append(p)
+        children.append([])
+        children[p].append(i)
+        if v is not None:
+            kids = children_of.get(v, [])
+            todo.extend(repeat((None, i), pdeg[v] - 1 - len(kids)))
+            todo.extend((u, i) for u in reversed(kids))
+    return _tree.PlaneTree(parent, children)
 
 
 def reconstruct_tree(delta, n):
@@ -408,29 +414,35 @@ def reconstruct_tree(delta, n):
 
 
 def _grow(delta, n):
-    """delta._grown[n]: the tree _reconstruct grows from delta at n, or
-    the message of the Undefined it raised.  Growth runs once per n."""
+    """delta._grown[n]: the tree grown from _reconstruct's plan at n if
+    its (b_1, b_2) at n is (|V|, |E|) of delta, the one check, else why
+    no tree grows.  Growth runs once per n."""
     if n not in delta._grown:
         try:
-            delta._grown[n] = _reconstruct(delta, n)
+            t = _grow_tree(*_reconstruct(delta, n))
         except Undefined as exc:
             delta._grown[n] = str(exc)
+        else:
+            b = _cells.count_critical_cells(t, n)
+            want = (delta.num_vertices, len(delta.edges))
+            delta._grown[n] = t if b == want else (
+                "the grown tree has (b1, b2) = %s, Delta has "
+                "(|V|, |E|) = %s" % (b, want))
     return delta._grown[n]
 
 
 def _reconstruct(delta, n, root=None):
-    """The tree grown from the hierarchy of the <=_N-maximal class root
-    (default: the first; every maximal class grows the same tree),
-    following the Y-degree equations; radial when delta has no edges.
-    Every branch grows its text with _grow_tree and returns through the
-    one check _counted."""
+    """The plan (children_of, pdeg) for _grow_tree of the tree grown from
+    the hierarchy of the <=_N-maximal class root (default: the first;
+    every maximal class grows the same tree), following the Y-degree
+    equations; radial when delta has no edges.  Raises Undefined."""
     if not delta.classes:  # every neighborhood empty: radial (free group)
         deg = _solve_Y(n, delta.num_vertices)
         if deg is None:
             raise Undefined(
                 "no radial tree: |Delta| = %d is not a Y_%d value"
                 % (delta.num_vertices, n))
-        return _counted(delta, n, _grow_tree({}, {"p1": deg}))
+        return {}, {"p1": deg}
     h = hierarchy(delta)
     root = h.maximal[0] if root is None else root
     desc = sorted(h.below[root])
@@ -453,8 +465,7 @@ def _reconstruct(delta, n, root=None):
         cdeg = _solve_Y(2, sum(len(h.classes[k]) for k in h.ns[w]))
         if a is None or yb is None or cdeg is None:
             raise Undefined("no degrees solve the exceptional equations")
-        return _counted(delta, n, _grow_tree(
-            {"p1": ["x"], "x": ["y"]}, {"p1": a, "x": yb, "y": cdeg}))
+        return {"p1": ["x"], "x": ["y"]}, {"p1": a, "x": yb, "y": cdeg}
 
     # H must be a tree rooted at p1: children are taken in the full
     # hierarchy H', then restricted to the surviving vertices (pruning
@@ -485,19 +496,7 @@ def _reconstruct(delta, n, root=None):
     pdeg["p1"] = _solve_Y(2, len(h.classes[root]))
     if pdeg["p1"] is None:
         raise Undefined("pdeg_1 undefined")
-    return _counted(delta, n, _grow_tree(children_of, pdeg))
-
-
-def _counted(delta, n, text):
-    """The tree of the text, if its (b_1, b_2) at n is (|V|, |E|) of
-    delta; else raise Undefined."""
-    t = _tree.parse_tree(text)
-    b = _cells.count_critical_cells(t, n)
-    want = (delta.num_vertices, len(delta.edges))
-    if b != want:
-        raise Undefined("the grown tree has (b1, b2) = %s, Delta has "
-                        "(|V|, |E|) = %s" % (b, want))
-    return t
+    return children_of, pdeg
 
 
 def detect_n(delta):

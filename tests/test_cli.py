@@ -455,6 +455,25 @@ class TestErrors:
             assert err.startswith("error: cannot read delta")
             assert message in err
 
+    @pytest.mark.parametrize("obj", [
+        {"vertices": {}, "edges": []},
+        {"vertices": "", "edges": []},
+        {"vertices": [{"id": 0}], "edges": {}},
+        {"vertices": [{"id": 0}], "edges": ""},
+        {"vertices": {"0": {"id": 0}}, "edges": []},
+    ])
+    def test_non_list_fields_exit_2(self, capsys, tmp_path, obj):
+        # not read as an empty list: an empty Delta is a free group
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps(obj))
+        for argv in (["reconstruct", "--delta", str(p), "--n", "4"],
+                     ["detect-n", "--delta", str(p)],
+                     ["iso", "--delta", str(p), str(p)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == "error: cannot read delta %r: vertices and " \
+                "edges must be JSON lists\n" % str(p)
+
     @pytest.mark.parametrize("obj, message", [
         ({"vertices": [{"id": 0}, {"id": 1}], "edges": [["a", 0]]},
          "bad edge ['a', 0]"),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -341,11 +342,39 @@ class TestReconstruct:
             dg = D.DeltaGraph(C.radial_rank(n, deg), set())
             assert T.to_text(D.reconstruct_tree(dg, n)) == radial_tree(deg)
 
+    def test_plane_embedding_pinned(self):
+        # the plane trees grown, not only their homeomorphism classes:
+        # every corpus class at n = 4 and 5, in corpus order
+        texts = [T.to_text(D.reconstruct_tree(D.build_delta(
+            T.subdivide_for(T.parse_tree(s), n), n), n))
+            for s in CORPUS for n in (4, 5)]
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        assert digest == (
+            "645ec9514a4d5b6be74a046cfe150eb5dfd003d70277116157748c8f679ebd3b")
+
+    @pytest.mark.parametrize("text", [T_MIN, path_tree([3, 4, 3])])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_no_tree_text(self, text, n, monkeypatch):
+        # recognition grows PlaneTrees: it neither writes nor parses text
+        t = T.subdivide_for(T.parse_tree(text), n)
+        dg = D.build_delta(t, n)
+
+        def fresh():  # nothing grown yet, and n unknown
+            return D.DeltaGraph(dg.num_vertices, dg.edges)
+
+        def parse_tree(text):
+            raise AssertionError("tree text parsed")
+
+        monkeypatch.setattr(T, "parse_tree", parse_tree)
+        assert T.trees_homeomorphic(D.reconstruct_tree(fresh(), n), t)
+        assert D.detect_n(fresh()) == n
+        assert D.decide_isomorphic(fresh(), fresh())
+
     def test_grow_tree_three_vertex(self):
         # the exceptional n = 5 shape: * - p_1 - x - y, padded with leaves
         for a, yb, cdeg in product(range(2, 8), repeat=3):
-            assert D._grow_tree({"p1": ["x"], "x": ["y"]},
-                                {"p1": a, "x": yb, "y": cdeg}) \
+            assert T.to_text(D._grow_tree({"p1": ["x"], "x": ["y"]},
+                                          {"p1": a, "x": yb, "y": cdeg})) \
                 == "(((" + "(" + "()" * (cdeg - 1) + ")" + "()" * (yb - 2) \
                 + ")" + "()" * (a - 2) + "))"
 
@@ -373,7 +402,7 @@ class TestReconstruct:
     def test_root_choice_irrelevant(self, tmin5):
         t, dg = tmin5
         h = D.hierarchy(dg)
-        codes = {T.canonical_form(D._reconstruct(dg, 5, r))
+        codes = {T.canonical_form(D._grow_tree(*D._reconstruct(dg, 5, r)))
                  for r in h.maximal}
         assert len(codes) == 1
 
@@ -391,7 +420,7 @@ class TestReconstruct:
         children_of = {"p1": [0]}
         children_of.update((i, [i + 1]) for i in range(k - 1))
         pdeg = dict.fromkeys(list(range(k)) + ["p1"], 3)
-        tr = T.parse_tree(D._grow_tree(children_of, pdeg))
+        tr = D._grow_tree(children_of, pdeg)
         assert len(T.essential_vertices(tr)) == k + 1
         assert E.is_linear(tr)
 
@@ -434,9 +463,11 @@ class TestDetectN:
         assert second.value is not first.value
 
     def test_both_grow_refused(self, tmin4, monkeypatch):
+        # _grow holds the (b1, b2) check, which refuses one of the two
+        # n; stub it so that a tree grows at both
         t, dg = tmin4
         anon = D.DeltaGraph(dg.num_vertices, dg.edges)
-        monkeypatch.setattr(D, "_reconstruct", lambda *args: t)
+        monkeypatch.setattr(D, "_grow", lambda *args: t)
         with pytest.raises(D.Undefined, match="both n = 4 and n = 5"):
             D.detect_n(anon)
 
@@ -482,18 +513,18 @@ class TestDecide:
         text, other = path_tree([3, 4, 3]), path_tree([4, 4, 3])
         dg, dg2 = (D.build_delta(T.subdivide_for(T.parse_tree(s), n), n)
                    for s in (text, other))
-        counted, grown = D._counted, []
+        grow_tree, grown = D._grow_tree, []
         reconstruct, tried = D._reconstruct, []
 
-        def counting(delta, m, t):  # the last step of every growth
-            grown.append((delta, m))
-            return counted(delta, m, t)
+        def growing(*plan):  # every plan _reconstruct returned
+            grown.append(tried[-1])
+            return grow_tree(*plan)
 
         def trying(delta, m, *args):  # every growth, refused or not
             tried.append((delta, m))
             return reconstruct(delta, m, *args)
 
-        monkeypatch.setattr(D, "_counted", counting)
+        monkeypatch.setattr(D, "_grow_tree", growing)
         monkeypatch.setattr(D, "_reconstruct", trying)
         t = D.reconstruct_tree(dg, n)
         assert D.decide_isomorphic((t, n), dg)
@@ -682,6 +713,18 @@ class TestTemplateCache:
 
 
 class TestSerialization:
+    def test_json_and_dot_pinned(self):
+        # the bytes of both formats, labelled and not, key order included
+        h = hashlib.sha256()
+        for text in (T_MIN, path_tree([3, 4, 5])):
+            for n in (4, 5):
+                dg = D.build_delta(T.subdivide_for(T.parse_tree(text), n), n)
+                for g in (dg, D.DeltaGraph(dg.num_vertices, dg.edges)):
+                    h.update(json.dumps(g.to_json()).encode())
+                    h.update(g.to_dot().encode())
+        assert h.hexdigest() == \
+            "518c7784f3e12e53b115018c4f7b7cb4a0374c492547eb554d80b3bbe368e817"
+
     def test_json_round_trip(self, tmin4):
         t, dg = tmin4
         obj = json.loads(json.dumps(dg.to_json(), indent=2, sort_keys=True))
