@@ -1,11 +1,11 @@
 """Discrete-Morse-theoretic invariants of tree braid groups B_nT.
 
 Modules: tree (plane trees, Morse embedding, homeomorphism), cells
-(reduced/critical 1-cells, counting), forms (cochains, differential,
-change of basis, cup products), delta (the complex Delta, tree
-reconstruction, isomorphism decision), oracle (homology of the reduced
-Świątkowski complex and of the brute-force configuration space), cli
-(command-line surface).
+(reduced/critical 1-cells, the <_r order, CUB labels, counting), forms
+(cochains, differential, change of basis, cup products), delta (the
+complex Delta, tree reconstruction, isomorphism decision), oracle
+(homology of the reduced Świątkowski complex and of the brute-force
+configuration space), cli (command-line surface).
 """
 
 from . import cells, delta, forms, oracle, tree

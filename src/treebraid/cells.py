@@ -1,6 +1,7 @@
 """
 Reduced and critical 1-cells of the discretized configuration space
-UD_nT, upper bounds of pairs, the CUB quotient, and Betti counts.
+UD_nT, the exceptional types and the <_r order, upper bounds of pairs,
+CUB labels and the CUB quotient, and Betti counts.
 
 A reduced 1-cell is written (a, d, x) where a is an essential vertex, d
 a direction at a with d >= 1, and x the a-vector: x[i] counts strands in
@@ -12,6 +13,7 @@ the Upper Bound Lemma: it decides a pair of cells in one call.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 from math import comb
 from operator import mul
@@ -95,6 +97,71 @@ def enumerate_reduced_1cells(t, n):
     degree.  Requires t sufficiently subdivided for n+2 strands.
     """
     return stamp(t, n, lambda deg: degree_template(n, deg))
+
+
+def _exceptional_dirs(c):
+    """(dir1, dir2, dir3) for a 5-strand cell with two directions of
+    weight >= 2, else None."""
+    big = [i for i, v in enumerate(c.x) if v >= 2]
+    if len(big) != 2:
+        return None
+    dir1, dir2 = big
+    if c.x[dir1] == 3:
+        dir3 = dir1
+    elif c.x[dir2] == 3:
+        dir3 = dir2
+    else:
+        dir3 = next(i for i, v in enumerate(c.x) if v == 1)
+    return dir1, dir2, dir3
+
+
+def classify_exceptional(c):
+    """"I", "II", "III", or None.  Exceptional cells exist only at n = 5,
+    and a cell's strand count is the sum of its a-vector."""
+    if sum(c.x) != 5 or not is_critical(c):
+        return None
+    dirs = _exceptional_dirs(c)
+    if dirs is None:
+        return None
+    dir1, dir2, dir3 = dirs
+    if 0 < dir1 < dir2 < dir3:
+        if c.d == dir2:
+            return "I"
+        if c.d == dir3:
+            return "II"
+    if 0 == dir3 < dir1 < dir2 and c.d == dir2:
+        return "III"
+    return None
+
+
+def corresponding_cell(c):
+    """The Type II cell matching a Type I cell and vice versa (same a
+    and x; the edge moves between directions dir2 and dir3)."""
+    kind = classify_exceptional(c)
+    if kind not in ("I", "II"):
+        raise ValueError("cell has no corresponding exceptional partner")
+    dir1, dir2, dir3 = _exceptional_dirs(c)
+    return ReducedOneCell(c.a, dir3 if kind == "I" else dir2, c.x)
+
+
+def r_key(c):
+    """The <_r key (a, -x_0, d, x), except that a Type I or II cell
+    (n = 5) takes the d of its corresponding cell.  The pair shares a
+    and x, so the two trade places and the Type II cell is the
+    smaller."""
+    if classify_exceptional(c) in ("I", "II"):
+        return (c.a, -c.x[0], corresponding_cell(c).d, c.x)
+    return (c.a, -c.x[0], c.d, c.x)
+
+
+@cache
+def r_template(n, deg):
+    """degree_template(n, deg) in <_r order, as a tuple of (d, x): sorted
+    by r_key once per (n, deg) and kept (a tuple, as every caller gets
+    this one object).  <_r sorts by vertex first, so stamping it at every
+    vertex in id order gives the whole order."""
+    cells = [ReducedOneCell(0, d, x) for d, x in degree_template(n, deg)]
+    return tuple((c.d, c.x) for c in sorted(cells, key=r_key))
 
 
 def upper_bound_exists(c1, c2, t):
@@ -192,6 +259,48 @@ def count_critical_cells(t, n):
         y = [radial_rank(k, x) for x in degs]
         b2 += sum(s) * sum(y) - sum(map(mul, s, y))  # all pairs less a = b
     return sum(radial_rank(n, x) for x in degs), b2 // 2
+
+
+def cup_constant(c, dprime):
+    """epsilon_c(d'): 0 if d' = 0 or d' > d; 0 if 0 < d' < d and some
+    other index in (0, d) is occupied; 0 if c is exceptional of Type I
+    (a 5-strand cell, see classify_exceptional); else 1."""
+    if dprime == 0 or dprime > c.d:
+        return 0
+    if 0 < dprime < c.d and any(
+            c.x[i] > 0 for i in range(1, c.d) if i != dprime):
+        return 0
+    if classify_exceptional(c) == "I":
+        return 0
+    return 1
+
+
+def cub_label(c):
+    """(delta, k): the direction of a critical cell c of at most five
+    strands with CUB number k = x[delta] - cup_constant(c, delta) >= 2,
+    or ().  Of a Type I or II cell's two, dir1 < dir2, Type I takes
+    dir1, II dir2."""
+    dirs = [i for i, v in enumerate(c.x) if v >= 2]  # cup_constant >= 0
+    kind = len(dirs) == 2 and classify_exceptional(c)
+    if kind in ("I", "II"):
+        dirs = [dirs[0 if kind == "I" else 1]]
+    for delta in dirs:
+        k = c.x[delta] - cup_constant(c, delta)
+        if k >= 2:
+            return delta, k
+    return ()
+
+
+@cache
+def labelled_template(n, deg):
+    """(template, labelled): the critical subsequence of r_template(n,
+    deg), sharing its (d, x) pairs, and the (p, delta, k) of each
+    position p whose cell has the CUB label (delta, k).  Made once per
+    (n, deg) and kept; nothing evicts them."""
+    template = tuple(dx for dx in r_template(n, deg)
+                     if is_critical(ReducedOneCell(0, *dx)))
+    labels = [cub_label(ReducedOneCell(0, *dx)) for dx in template]
+    return template, tuple((p, *lab) for p, lab in enumerate(labels) if lab)
 
 
 def cub_quotient(t, n):

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import islice
 from math import log10
 
 from . import cells as _cells
@@ -69,6 +70,15 @@ def _fail(msg):
     return 2
 
 
+def _print_json(obj):
+    """Print obj as indented, key-sorted JSON, streamed in batches of
+    pieces: no string of the whole document, and few writes even when
+    stdout is unbuffered."""
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    sys.stdout.writelines(iter(lambda: "".join(islice(pieces, 4096)), ""))
+    print()
+
+
 def cmd_subdivide(args):
     t = _load_subdivided(args.tree, args.n)
     print(_tree.to_text(t))
@@ -121,7 +131,7 @@ def cmd_delta(args):
     if args.format == "dot":
         print(dg.to_dot())
     else:
-        print(json.dumps(dg.to_json(), indent=2, sort_keys=True))
+        _print_json(dg.to_json())
     return 0
 
 
@@ -176,7 +186,7 @@ def cmd_verify(args):
         return _fail(str(exc))
     report = {"counts": _oracle.verify_morse_counts(t, args.n),
               "coboundary": coboundary}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _print_json(report)
     ok = all(r["pass"] is not False for r in report.values())
     return 0 if ok else 1
 
@@ -204,7 +214,7 @@ def cmd_presentation(args):
             "support": sorted(map(str, _forms.differential(form, t))),
         })
     out["relations"].sort(key=lambda r: r["form"])
-    print(json.dumps(out, indent=2, sort_keys=True))
+    _print_json(out)
     return 0
 
 

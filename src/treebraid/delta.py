@@ -8,12 +8,11 @@ the neighborhood hierarchy, the defining tree grown back as a PlaneTree
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain, combinations, repeat
 from operator import itemgetter
 
 from . import cells as _cells
-from . import forms as _forms
 from . import tree as _tree
 from .cells import ReducedOneCell
 
@@ -194,21 +193,7 @@ class _EdgeView:
 
 
 # ---------------------------------------------------------------------------
-# cup constants and the edge test
-
-
-def cup_constant(c, dprime):
-    """epsilon_c(d'): 0 if d' = 0 or d' > d; 0 if 0 < d' < d and some
-    other index in (0, d) is occupied; 0 if c is exceptional of Type I
-    (a 5-strand cell, see forms.classify_exceptional); else 1."""
-    if dprime == 0 or dprime > c.d:
-        return 0
-    if 0 < dprime < c.d and any(
-            c.x[i] > 0 for i in range(1, c.d) if i != dprime):
-        return 0
-    if _forms.classify_exceptional(c) == "I":
-        return 0
-    return 1
+# the edge test and the build
 
 
 def m_cup_adjacent(c, cp, t):
@@ -224,49 +209,14 @@ def m_cup_adjacent(c, cp, t):
     # <_r sorts by vertex first, and c.a != cp.a
     small, other = (c, cp) if c.a < cp.a else (cp, c)
     s_critical = all(flags)
-    kind = _forms.classify_exceptional(small)
+    kind = _cells.classify_exceptional(small)
     if kind == "I":
         return not s_critical
     if kind == "II":
-        alpha = _tree.direction(t, small.a, other.a)
+        alpha = t.directions(small.a)[other.a]
         smallest = next(i for i, v in enumerate(small.x) if v != 0)
         return s_critical and alpha != smallest
     return s_critical
-
-
-def cub_label(c):
-    """(delta, k): the direction of a critical cell c of at most five
-    strands with CUB number k = x[delta] - cup_constant(c, delta) >= 2,
-    or ().  Of a Type I or II cell's two, dir1 < dir2, Type I takes
-    dir1, II dir2."""
-    dirs = [i for i, v in enumerate(c.x) if v >= 2]  # cup_constant >= 0
-    kind = len(dirs) == 2 and _forms.classify_exceptional(c)
-    if kind in ("I", "II"):
-        dirs = [dirs[0 if kind == "I" else 1]]
-    for delta in dirs:
-        k = c.x[delta] - cup_constant(c, delta)
-        if k >= 2:
-            return delta, k
-    return ()
-
-
-@cache
-def _labelled_template(n, deg):
-    """(template, labelled): the (d, x) of the critical cells of
-    degree_template(n, deg), sorted by ROrder.sort, as a tuple, and the
-    (p, delta, k) of each position p whose cell has the CUB label
-    (delta, k) by cub_label.  The full template is filtered before it
-    is sorted, so only the critical cells are sorted.  Both read only
-    (d, x), so they are made once per (n, deg); nothing evicts them."""
-    crit = _forms.ROrder.sort(filter(_cells.is_critical, (
-        ReducedOneCell(0, d, x) for d, x in _cells.degree_template(n, deg))))
-    template = tuple((c.d, c.x) for c in crit)
-    labelled = []
-    for p, c in enumerate(crit):
-        label = cub_label(c)
-        if label:
-            labelled.append((p, *label))
-    return template, tuple(labelled)
 
 
 N_TOO_LARGE = "Delta is built for n <= 5 only"
@@ -278,19 +228,19 @@ def build_delta(t, n):
 
     The critical template of each degree, in <_r order and with its
     CUB labels, is made once per (n, degree) and kept across builds
-    (_labelled_template); it is stamped at every vertex, and <_r sorts
-    by vertex first, so this is the order of ROrder(t, n).critical.  The
-    cells at a labelled (delta, k) form the twin class (a, delta, k) of
-    cells.cub_quotient; the others are isolated.  n >= 6 raises
+    (cells.labelled_template); it is stamped at every vertex, and <_r
+    sorts by vertex first, so this is the order of ROrder(t, n).critical.
+    The cells at a labelled (delta, k) form the twin class (a, delta, k)
+    of cells.cub_quotient; the others are isolated.  n >= 6 raises
     ValueError: a cell can have two CUB directions.
     """
     if n > 5:
         raise ValueError(N_TOO_LARGE)
-    crit = _cells.stamp(t, n, lambda deg: _labelled_template(n, deg)[0])
+    crit = _cells.stamp(t, n, lambda deg: _cells.labelled_template(n, deg)[0])
     _, joins = _cells.cub_quotient(t, n)
     members, i = defaultdict(list), 0
     for a in _tree.essential_vertices(t):
-        template, labelled = _labelled_template(n, t.degree(a))
+        template, labelled = _cells.labelled_template(n, t.degree(a))
         for p, delta, k in labelled:
             if (a, delta, k) in joins:  # every key of joins has a partner
                 members[a, delta, k].append(i + p)

@@ -130,11 +130,11 @@ def differential(form, t, include_extraneous=False):
         for c in _differential_terms(t, a, x, include_extraneous))
 
 
-def coboundary_oracle_check(form, t, cells):
+def coboundary_oracle_check(form, cells):
     """True iff d(form) agrees with the cochain coboundary of form on
-    every 2-cell of UD_nT on t itself (so that vertex ids agree); cells
-    is an oracle.FormCells on t, and form has a 0-form factor f(a,x)
-    with a essential.
+    every 2-cell of UD_nT on the tree cells.t itself (so that vertex ids
+    agree); cells is an oracle.FormCells, and form has a 0-form factor
+    f(a,x) with a essential.
 
     Both sides are compared as sets of 2-cells.  delta(form) is the XOR
     of the cofaces of the 1-cells in the support of the form: cells
@@ -144,7 +144,7 @@ def coboundary_oracle_check(form, t, cells):
     c.x.  cells makes only those cells; eval_form decides every value,
     on a cell cells decodes for it.
     """
-    a, x = form.base
+    t, (a, x) = cells.t, form.base
     delta = set()
     for key in cells.support(a, x, _edges(form, t)):
         cell = cells.cell(key)
@@ -221,101 +221,35 @@ def annihilate(c_factors, s, t):
 
 
 # ---------------------------------------------------------------------------
-# exceptional critical cells (n = 5 only)
-
-
-def _exceptional_dirs(c):
-    """(dir1, dir2, dir3) for a 5-strand cell with two directions of
-    weight >= 2, else None."""
-    big = [i for i, v in enumerate(c.x) if v >= 2]
-    if len(big) != 2:
-        return None
-    dir1, dir2 = big
-    if c.x[dir1] == 3:
-        dir3 = dir1
-    elif c.x[dir2] == 3:
-        dir3 = dir2
-    else:
-        dir3 = next(i for i, v in enumerate(c.x) if v == 1)
-    return dir1, dir2, dir3
+# exceptional cells and the <_r order (their rules live in cells)
 
 
 def classify_exceptional(c):
-    """"I", "II", "III", or None.  Exceptional cells exist only at n = 5,
-    and a cell's strand count is the sum of its a-vector."""
-    if sum(c.x) != 5 or not _cells.is_critical(c):
-        return None
-    dirs = _exceptional_dirs(c)
-    if dirs is None:
-        return None
-    dir1, dir2, dir3 = dirs
-    if 0 < dir1 < dir2 < dir3:
-        if c.d == dir2:
-            return "I"
-        if c.d == dir3:
-            return "II"
-    if 0 == dir3 < dir1 < dir2 and c.d == dir2:
-        return "III"
-    return None
-
-
-def corresponding_cell(c):
-    """The Type II cell matching a Type I cell and vice versa (same a
-    and x; the edge moves between directions dir2 and dir3)."""
-    kind = classify_exceptional(c)
-    if kind not in ("I", "II"):
-        raise ValueError("cell has no corresponding exceptional partner")
-    dir1, dir2, dir3 = _exceptional_dirs(c)
-    return ReducedOneCell(c.a, dir3 if kind == "I" else dir2, c.x)
-
-
-# ---------------------------------------------------------------------------
-# the <_r order
+    """cells.classify_exceptional, under the name that perfbench/tracer.py
+    counts calls to."""
+    return _cells.classify_exceptional(c)
 
 
 class ROrder:
     """Total order <_r on all non-extraneous reduced 1-cells.
 
     cells lists them in <_r order, stamped from the per-degree templates
-    of ROrder.template, and ri indexes them (0-based); critical is the
-    critical subsequence.  critical_runs cuts the critical cells into
-    maximal runs of equal (a, x[0]); <_r sorts by a and then by -x[0],
-    so the runs concatenate to critical.
+    cells.r_template, which are sorted once per (n, degree), and ri
+    indexes them (0-based); critical is the critical subsequence.
+    critical_runs cuts the critical cells into maximal runs of equal
+    (a, x[0]); <_r sorts by a and then by -x[0], so the runs concatenate
+    to critical.
     """
 
     def __init__(self, t, n):
-        cells = _cells.stamp(t, n, lambda deg: self.template(n, deg))
-        self.cells = cells
+        self.cells = cells = _cells.stamp(
+            t, n, lambda deg: _cells.r_template(n, deg))
         self.ri = {c: i for i, c in enumerate(cells)}
         self.critical = [c for c in cells if _cells.is_critical(c)]
         self.critical_runs = [
             list(run) for _, run in
             groupby(self.critical, key=lambda c: (c.a, c.x[0]))]
         self.rm = len(cells)
-
-    @staticmethod
-    def key(c):
-        """The <_r key (a, -x_0, d, x), except that a Type I or II cell
-        (n = 5) takes the d of its corresponding cell.  The pair shares
-        a and x, so the two trade places and the Type II cell is the
-        smaller."""
-        if classify_exceptional(c) in ("I", "II"):
-            return (c.a, -c.x[0], corresponding_cell(c).d, c.x)
-        return (c.a, -c.x[0], c.d, c.x)
-
-    @staticmethod
-    def template(n, deg):
-        """degree_template(n, deg) in <_r order.  <_r sorts by vertex
-        first, so stamping this at every vertex in id order gives the
-        whole order."""
-        cells = [ReducedOneCell(0, d, x)
-                 for d, x in _cells.degree_template(n, deg)]
-        return [(c.d, c.x) for c in ROrder.sort(cells)]
-
-    @staticmethod
-    def sort(cells):
-        """The cells in <_r order."""
-        return sorted(cells, key=ROrder.key)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +340,7 @@ def _column_M_c(c, t, order):
     if kind == "I":
         return 1 << j
     if kind == "II":
-        return (1 << j) | (1 << order.ri[corresponding_cell(c)])
+        return (1 << j) | (1 << order.ri[_cells.corresponding_cell(c)])
     if kind == "III":
         u = 1 << j
         for i in range(1, t.degree(c.a)):

@@ -22,10 +22,13 @@ those of d_k+1 narrowed to the k-cells whose d_k column is dependent.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, exp, floor, lgamma, log, log10
 from typing import NamedTuple
 
+from . import cells as _cells
+from . import forms as _forms
 from . import tree as _tree
 
 # the most cells build_complex makes, and the most that
@@ -450,8 +453,6 @@ def verify_morse_counts(t, n):
     counts.  Returns a JSON-ready report dict whose cells are that
     complex's cell counts per degree; on budget overflow the report
     says skipped."""
-    from . import cells as _cells
-
     c1, c2 = _cells.count_critical_cells(t, n)
     report = {
         "tree": _tree.to_text(t),
@@ -483,11 +484,6 @@ def verify_d_equals_delta(t, n, forms_sample, rng=None):
     subdivided, when UD_nT through degree 2 is over COMPLEX_BUDGET, as
     build_complex would refuse it.
     """
-    import random
-
-    from . import cells as _cells
-    from . import forms as _forms
-
     size = _tree.subdivided_size(t, n)
     if forms_sample < 0:
         raise ValueError("forms sample must be >= 0, got %d" % forms_sample)
@@ -508,7 +504,7 @@ def verify_d_equals_delta(t, n, forms_sample, rng=None):
     forms = _forms.basic_0forms(all_cells) + [
         _forms.BasicForm((c.a, c.x), (c1,)) for c, c1 in pairs[:forms_sample]]
     failures = [form for form in forms
-                if not _forms.coboundary_oracle_check(form, ts, cells)]
+                if not _forms.coboundary_oracle_check(form, cells)]
     report["checked"] = len(forms)
     report["pass"] = not failures
     report["failures"] = [str(f) for f in failures[:5]]

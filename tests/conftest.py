@@ -102,14 +102,14 @@ def twin_classes(edges):
 def check_closed_quotient(t, n, cells, edges):
     """Assert that cells.cub_quotient(t, n) is the twin quotient of the
     graph with vertices 0..len(cells)-1, vertex i labelled cells[i], and
-    these index-pair edges: the cells whose delta.cub_label names one key
+    these index-pair edges: the cells whose cells.cub_label names one key
     are one twin class, as many as the key's size; the class edges are
     the key joins; and the other b_1 - (sum of sizes) cells are
     isolated."""
     sizes, joins = C.cub_quotient(t, n)
     classes = {}
     for i, c in enumerate(cells):
-        key = (c.a, *D.cub_label(c))
+        key = (c.a, *C.cub_label(c))
         if key in sizes:
             classes.setdefault(key, []).append(i)
     assert {key: len(members) for key, members in classes.items()} == sizes

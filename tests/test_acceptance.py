@@ -89,7 +89,7 @@ def test_criterion_02_counting_identities(store):
                 C.radial_rank(n, t.degree(a)) for a in ess)
             # the cells labelled (a, d, k) by cub_label, against the
             # refined count and the sizes of the closed quotient
-            keys = [(c.a, *D.cub_label(c)) for c in dg.cells]
+            keys = [(c.a, *C.cub_label(c)) for c in dg.cells]
             sizes, _ = C.cub_quotient(t, n)
 
             def refined(a, d):
@@ -204,11 +204,11 @@ def test_criterion_07_matrix_properties(store):
         assert E.is_invertible(ms), s
         assert E.is_lower_triangular(m), s
         for c in order.critical:
-            if F.classify_exceptional(c) == "II":
-                ci = F.corresponding_cell(c)
+            if C.classify_exceptional(c) == "II":
+                ci = C.corresponding_cell(c)
                 want = (1 << order.ri[c]) | (1 << order.ri[ci])
                 assert m[order.ri[c]] == want, (s, c)  # M dc2 = dc1 + dc2
-            elif not F.classify_exceptional(c):
+            elif not C.classify_exceptional(c):
                 vecs = {F.u_vector(w, t, order)
                         for w in F.necessary_witnesses(c, t, order)}
                 assert len(vecs) <= 1, (s, c)  # witness independence
@@ -256,7 +256,7 @@ def test_criterion_09_cross_characterization(store):
                             for i in range(order.rm) if col >> i & 1]
             _, joins = C.cub_quotient(t, n)
             joined = {key: set(others) for key, others in joins.items()}
-            keys = {c: (c.a, *D.cub_label(c)) for c in crit}
+            keys = {c: (c.a, *C.cub_label(c)) for c in crit}
             nf_cache = {}
 
             def nf(u, v):

@@ -341,6 +341,22 @@ class TestVerbs:
         forms = [rel["form"] for rel in rep["relations"]]
         assert len(forms) == len(set(forms))
 
+    @pytest.mark.parametrize("verb", ["delta", "verify", "presentation"])
+    def test_json_written_in_batches(self, capsys, tmp_path, verb):
+        # the bytes of one json.dumps string, written in several batches
+        # (path [3, 4, 5] at n = 5: 7 732 pieces of Delta's JSON)
+        text, n = path_tree([3, 4, 5]), {"verify": "3"}.get(verb, "5")
+        p = tmp_path / "t.tree"
+        p.write_text(text)
+        code, out, _ = run(capsys, verb, str(p), "--n", n)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2,
+                                 sort_keys=True) + "\n"
+        if verb == "delta":
+            dg = D.build_delta(T.subdivide_for(T.parse_tree(text), 5), 5)
+            assert out == json.dumps(dg.to_json(), indent=2,
+                                     sort_keys=True) + "\n"
+
     @pytest.mark.parametrize("n", [4, 5])
     def test_presentation_relations_match_scan(self, capsys, tmp_path, n):
         p = tmp_path / "t.tree"
@@ -632,6 +648,35 @@ class TestErrors:
             {"vertices": [{"id": 0}, {"id": 1}], "edges": []}))
         assert run(capsys, "iso", "--delta", str(free), str(free),
                    "--n", "3") == (0, "isomorphic\n", "")
+
+
+class TestForgedDelta:
+    """ROADMAP item 1: the Delta of path [3, 3] at n = 5 with edge
+    [5, 10] moved to [8, 11] is no Delta, but the tree grown from it has
+    (b1, b2) = (|V|, |E|), the only check made, so it is accepted."""
+
+    @pytest.fixture
+    def forged(self, capsys, tmp_path):
+        tree = tmp_path / "p33.tree"
+        tree.write_text(path_tree([3, 3]))
+        _, out, _ = run(capsys, "delta", str(tree), "--n", "5")
+        real = tmp_path / "real.json"
+        real.write_text(out)
+        obj = json.loads(out)
+        assert obj["edges"] == [[5, 10], [8, 10], [9, 10], [9, 11], [9, 12]]
+        obj["edges"][0] = [8, 11]
+        fake = tmp_path / "forged.json"
+        fake.write_text(json.dumps(obj))
+        return str(fake), str(real)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("verb", ["reconstruct", "detect-n", "iso"])
+    def test_refused(self, capsys, forged, verb):
+        fake, real = forged
+        argv = {"reconstruct": ["reconstruct", "--delta", fake],
+                "detect-n": ["detect-n", "--delta", fake],
+                "iso": ["iso", fake, real, "--delta"]}[verb]
+        assert run(capsys, *argv)[0] == 3
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import random
@@ -6,6 +7,7 @@ import time
 import tracemalloc
 from collections import defaultdict
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,23 +74,22 @@ class TestCupConstant:
     def test_zero_outside_range(self, tmin5):
         t, dg = tmin5
         for c in dg.cells[:10]:
-            assert D.cup_constant(c, 0) == 0
-            assert D.cup_constant(c, c.d + 1) == 0
+            assert C.cup_constant(c, 0) == 0
+            assert C.cup_constant(c, c.d + 1) == 0
 
     def test_type_i_is_zero(self):
         t = T.subdivide_for(T.parse_tree(path_tree([4, 3])), 5)
-        from treebraid import forms as F
         cells = C.enumerate_reduced_1cells(t, 5)
-        ones = [c for c in cells if F.classify_exceptional(c) == "I"]
+        ones = [c for c in cells if C.classify_exceptional(c) == "I"]
         assert ones
         for c in ones:
-            assert D.cup_constant(c, c.d) == 0
+            assert C.cup_constant(c, c.d) == 0
 
 
 def _keys(dg):
     """The key (a, delta, k) of each vertex of dg, or (a,) when its cell
     has no CUB label."""
-    return [(c.a, *D.cub_label(c)) for c in dg.cells]
+    return [(c.a, *C.cub_label(c)) for c in dg.cells]
 
 
 class TestCubData:
@@ -104,7 +105,7 @@ class TestCubData:
             _, delta, k = keys[i]
             assert 2 <= k <= n - 2
             assert 0 <= delta < t.degree(c.a)
-            if F.classify_exceptional(c) == "I":
+            if C.classify_exceptional(c) == "I":
                 assert k == 2
             if i in cls:  # every neighbor lies in the CUB direction
                 for j in dg.ns[cls[i]]:
@@ -149,10 +150,12 @@ def _graphs(draw):
 
 
 def critical_template(n, deg):
-    """The critical subsequence of ROrder.template(n, deg): the full
-    template sorted, then filtered, where build_delta filters first."""
-    return [(d, x) for d, x in F.ROrder.template(n, deg)
-            if C.is_critical(C.ReducedOneCell(0, d, x))]
+    """The critical cells of degree_template(n, deg) sorted by r_key:
+    filtered, then sorted, where cells.labelled_template filters the
+    sorted full template."""
+    crit = filter(C.is_critical, (C.ReducedOneCell(0, d, x)
+                                  for d, x in C.degree_template(n, deg)))
+    return [(c.d, c.x) for c in sorted(crit, key=C.r_key)]
 
 
 class TestQuotient:
@@ -661,7 +664,7 @@ def _labelled_per_cell(t, n):
     labels, members = {}, defaultdict(list)
     for i, c in enumerate(crit):
         if (c.d, c.x) not in labels:
-            labels[c.d, c.x] = D.cub_label(c)
+            labels[c.d, c.x] = C.cub_label(c)
         key = (c.a, *labels[c.d, c.x])
         if key in joins:
             members[key].append(i)
@@ -672,7 +675,7 @@ def _labelled_per_cell(t, n):
 
 class TestTemplateCache:
     def test_matches_per_cell_labelling(self):
-        D._labelled_template.cache_clear()
+        C.labelled_template.cache_clear()
         for n in (4, 5, 4):
             for s in CORPUS:
                 t = T.subdivide_for(T.parse_tree(s), n)
@@ -682,14 +685,14 @@ class TestTemplateCache:
 
     def test_second_build_labels_nothing(self, monkeypatch):
         t = T.subdivide_for(T.parse_tree(path_tree([3, 4, 5])), 5)
-        label, calls = D.cub_label, []
+        label, calls = C.cub_label, []
 
         def counting(c):
             calls.append(c)
             return label(c)
 
-        monkeypatch.setattr(D, "cub_label", counting)
-        D._labelled_template.cache_clear()
+        monkeypatch.setattr(C, "cub_label", counting)
+        C.labelled_template.cache_clear()
         first = D.build_delta(t, 5)
         assert len(calls) == C.radial_rank(5, 3) + C.radial_rank(5, 4) \
             + C.radial_rank(5, 5)  # each degree's template, once
@@ -710,6 +713,46 @@ class TestTemplateCache:
         first.cells.append(None)
         second = D.build_delta(t, 5)
         assert (second.classes, second.ns, second.cells) == want
+
+
+class TestLayers:
+    def test_core_imports_only_core(self):
+        # tree, cells and delta compute the answers; forms and oracle
+        # only check them, and cli prints them
+        for name in ("tree", "cells", "delta"):
+            source = Path(D.__file__).with_name(name + ".py").read_text()
+            targets = set()
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    targets |= ({node.module.split(".")[0]} if node.module
+                                else {alias.name for alias in node.names})
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [node.module] if isinstance(
+                        node, ast.ImportFrom) else [a.name for a in node.names]
+                    targets |= {m.split(".")[1] for m in names
+                                if m.startswith("treebraid.")}
+            assert targets <= {"tree", "cells"}, (name, targets)
+
+    def test_templates_sorted_once(self, monkeypatch):
+        key, calls = C.r_key, []
+
+        def counting(c):
+            calls.append(c)
+            return key(c)
+
+        monkeypatch.setattr(C, "r_key", counting)
+        C.r_template.cache_clear()
+        C.labelled_template.cache_clear()
+        t = T.subdivide_for(T.parse_tree(path_tree([3, 4, 5])), 5)
+        first = F.ROrder(t, 5)
+        assert len(calls) == sum(len(C.degree_template(5, deg))
+                                 for deg in (3, 4, 5))  # each degree once
+        del calls[:]
+        second = F.ROrder(t, 5)
+        dg = D.build_delta(t, 5)
+        assert calls == []
+        assert second.cells == first.cells
+        assert dg.cells == first.critical
 
 
 class TestSerialization:

@@ -130,13 +130,13 @@ class TestNecessary:
 class TestExceptional:
     def test_only_at_n5(self, tmin4):
         t, cells = tmin4
-        assert all(F.classify_exceptional(c) is None for c in cells)
+        assert all(C.classify_exceptional(c) is None for c in cells)
 
     def test_all_types_present(self, mixed5):
         t, cells = mixed5
         kinds = {}
         for c in cells:
-            k = F.classify_exceptional(c)
+            k = C.classify_exceptional(c)
             if k:
                 kinds[k] = kinds.get(k, 0) + 1
         assert set(kinds) == {"I", "II", "III"}
@@ -145,18 +145,18 @@ class TestExceptional:
     def test_correspondence_involution(self, mixed5):
         t, cells = mixed5
         for c in cells:
-            k = F.classify_exceptional(c)
+            k = C.classify_exceptional(c)
             if k in ("I", "II"):
-                c2 = F.corresponding_cell(c)
+                c2 = C.corresponding_cell(c)
                 assert (c2.a, c2.x) == (c.a, c.x)
                 assert c2.d != c.d
-                assert F.corresponding_cell(c2) == c
-                assert {k, F.classify_exceptional(c2)} == {"I", "II"}
+                assert C.corresponding_cell(c2) == c
+                assert {k, C.classify_exceptional(c2)} == {"I", "II"}
 
     def test_exceptional_are_critical(self, mixed5):
         t, cells = mixed5
         for c in cells:
-            if F.classify_exceptional(c):
+            if C.classify_exceptional(c):
                 assert C.is_critical(c)
 
 
@@ -167,10 +167,10 @@ def sort_then_swap(cells, n):
     cell."""
     cells = sorted(cells, key=lambda c: (c.a, -c.x[0], c.d, c.x))
     if n == 5:
-        type_i = [c for c in cells if F.classify_exceptional(c) == "I"]
+        type_i = [c for c in cells if C.classify_exceptional(c) == "I"]
         pos = {c: i for i, c in enumerate(cells)}
         for c in type_i:
-            i, j = pos[c], pos[F.corresponding_cell(c)]
+            i, j = pos[c], pos[C.corresponding_cell(c)]
             cells[i], cells[j] = cells[j], cells[i]
     return cells
 
@@ -184,8 +184,8 @@ class TestROrder:
                     for d, x in C.degree_template(n, deg)]
             for cells in (full, list(filter(C.is_critical, full))):
                 want = sort_then_swap(cells, n)
-                assert F.ROrder.sort(cells) == want
-                assert F.ROrder.sort(reversed(cells)) == want
+                assert sorted(cells, key=C.r_key) == want
+                assert sorted(reversed(cells), key=C.r_key) == want
                 swaps += want != sorted(cells, key=lambda c: (
                     c.a, -c.x[0], c.d, c.x))
         # Type I/II pairs exist at n = 5 from degree 4 on, full and critical
@@ -210,8 +210,8 @@ class TestROrder:
         t, _ = mixed5
         order = F.ROrder(t, 5)
         for c in order.cells:
-            if F.classify_exceptional(c) == "II":
-                assert order.ri[c] < order.ri[F.corresponding_cell(c)]
+            if C.classify_exceptional(c) == "II":
+                assert order.ri[c] < order.ri[C.corresponding_cell(c)]
 
     def test_sorted_off_exceptional(self, tmin4):
         t, _ = tmin4
@@ -256,7 +256,7 @@ class TestMatrices:
         t, _ = mixed5
         order = F.ROrder(t, 5)
         for c in order.critical:
-            if F.classify_exceptional(c):
+            if C.classify_exceptional(c):
                 continue
             vecs = {F.u_vector(w, t, order)
                     for w in F.necessary_witnesses(c, t, order)}

@@ -421,7 +421,7 @@ def assert_check_matches_scan(ts, n, forms, scanned):
     (decoded) give every form the same verdict."""
     cells = O.FormCells(ts)
     for form in forms:
-        assert F.coboundary_oracle_check(form, ts, cells) \
+        assert F.coboundary_oracle_check(form, cells) \
             == reference_check(form, ts, scanned), form
 
 
@@ -519,7 +519,7 @@ def test_dropped_term_fails_both(monkeypatch):
     monkeypatch.setattr(F, "differential", drop_one)
     scanned = decoded(O.build_complex(ts, 3, max_dim=2))
     for form in forms:
-        assert not F.coboundary_oracle_check(form, ts, cells), form
+        assert not F.coboundary_oracle_check(form, cells), form
         assert not reference_check(form, ts, scanned), form
 
 
