@@ -72,19 +72,20 @@ def degree_template(n, deg):
             if x[d] >= 1 and n - x[0] - x[d] >= 1]
 
 
+def check_subdivided(t, n):
+    """Raise ValueError unless t is subdivided for n+2 strands (stamp)."""
+    if not _tree.is_sufficiently_subdivided(t, n + 2):
+        raise ValueError("tree is not sufficiently subdivided for n+2 strands")
+
+
 def stamp(t, n, template):
     """The cells whose (d, x) template(deg) lists, at each essential
     vertex of t in id order; template is called once per degree.
     Requires t sufficiently subdivided for n+2 strands."""
-    if not _tree.is_sufficiently_subdivided(t, n + 2):
-        raise ValueError("tree is not sufficiently subdivided for n+2 strands")
-    templates = {}
-    out = []
+    check_subdivided(t, n)
+    template, out = cache(template), []
     for a in _tree.essential_vertices(t):
-        deg = t.degree(a)
-        if deg not in templates:
-            templates[deg] = template(deg)
-        out.extend([ReducedOneCell(a, d, x) for d, x in templates[deg]])
+        out.extend([ReducedOneCell(a, d, x) for d, x in template(t.degree(a))])
     return out
 
 

@@ -11,6 +11,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from functools import cache
@@ -39,10 +40,15 @@ def _load_tree(path):
 
 
 def _load_delta(path):
+    enabled = gc.isenabled()
+    gc.disable()  # the parse makes no reference cycle: nothing to collect
     try:
         return _delta.DeltaGraph.from_json(json.loads(_read_text(path)))
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise SystemExit(_fail("cannot read delta %r: %s" % (path, exc)))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # the most vertices a subdivided tree may have (about 200 MB)

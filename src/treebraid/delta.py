@@ -8,7 +8,7 @@ the neighborhood hierarchy, the defining tree grown back as a PlaneTree
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, combinations, repeat
 from operator import itemgetter
 
@@ -51,7 +51,8 @@ class DeltaGraph:
     """A 1-dimensional simplicial complex, kept as its twin quotient.
 
     vertices are indices 0..m-1; cells, when given, labels vertex i with
-    the critical 1-cell c of its class Mc*.  n is the strand count when
+    the critical 1-cell c of its class Mc*, made on first read by the
+    label maker _labels: no query reads it.  n is the strand count when
     known.  Twins (vertices with equal nonempty neighborhoods) are never
     adjacent, and two twin classes are joined completely or not at all.
     So classes[k], the sorted members of class k (classes ordered by
@@ -92,16 +93,21 @@ class DeltaGraph:
         self.classes = list(by_nb.values())
         cls = {v: k for k, members in enumerate(self.classes) for v in members}
         self.ns = [frozenset(map(cls.__getitem__, vs)) for vs in by_nb]
-        self.cells = list(cells) if cells is not None else None
+        self._labels = (lambda: None) if cells is None else partial(list, cells)
         self.n = n
         self._grown = {}  # n -> the tree _grow grew, or why none grows
 
     @classmethod
-    def from_quotient(cls, num_vertices, classes, ns, cells=None, n=None):
-        """Trusted twin classes and class joins: nothing is checked."""
-        self = cls(num_vertices, (), cells=cells, n=n)
-        self.classes, self.ns = classes, ns
+    def from_quotient(cls, num_vertices, classes, ns, labels, n=None):
+        """Trusted twin classes, joins and label maker: nothing is checked."""
+        self = cls(num_vertices, (), n=n)
+        self.classes, self.ns, self._labels = classes, ns, labels
         return self
+
+    @cached_property
+    def cells(self):
+        """The vertex labels (see the class), made on first read."""
+        return self._labels()
 
     @cached_property
     def edges(self):
@@ -143,19 +149,17 @@ class DeltaGraph:
         n = obj.get("n")
         if n is not None and type(n) is not int:
             raise ValueError("n must be a JSON integer")
-        labelled, cell_at = [v for v in verts if "cell" in v], {}
-        if labelled:
-            a, d, x = zip(*map(itemgetter("a", "d", "x"),
-                               map(itemgetter("cell"), labelled)))
-            if not (set(map(type, x)) <= {list} and set(map(
-                    type, chain(a, d, chain.from_iterable(x)))) == {int}):
-                raise ValueError("cell fields a and d must be JSON "
-                                 "integers, x a list of them")
-            cells = map(tuple.__new__, repeat(ReducedOneCell),
-                        zip(a, d, map(tuple, x)))
-            cell_at = dict(zip(map(get_id, labelled), cells))
-        return cls(len(ids), obj["edges"],
-                   cells=map(cell_at.get, range(len(ids))), n=n)
+        labelled = [v for v in verts if "cell" in v]
+        a, d, x = list(zip(*map(itemgetter("a", "d", "x"), map(
+            itemgetter("cell"), labelled)))) or [()] * 3
+        if not (set(map(type, x)) <= {list} and set(map(
+                type, chain(a, d, chain.from_iterable(x)))) <= {int}):
+            raise ValueError("cell fields a and d must be JSON "
+                             "integers, x a list of them")
+        self = cls(len(ids), obj["edges"], n=n)
+        self._labels = partial(_json_cells, len(ids),
+                               list(map(get_id, labelled)), a, d, x)
+        return self
 
     def to_dot(self):
         labels, edges = self._rows()
@@ -167,6 +171,12 @@ class DeltaGraph:
         lines.extend("  v%d -- v%d;" % (i, j) for i, j in edges)
         lines.append("}")
         return "\n".join(lines)
+
+
+def _json_cells(m, ids, a, d, x):
+    """The m cells of checked JSON label columns, None where unlabelled."""
+    made = map(tuple.__new__, repeat(ReducedOneCell), zip(a, d, map(tuple, x)))
+    return list(map(dict(zip(ids, made)).get, range(m)))
 
 
 class _EdgeView:
@@ -228,15 +238,16 @@ def build_delta(t, n):
 
     The critical template of each degree, in <_r order and with its
     CUB labels, is made once per (n, degree) and kept across builds
-    (cells.labelled_template); it is stamped at every vertex, and <_r
-    sorts by vertex first, so this is the order of ROrder(t, n).critical.
-    The cells at a labelled (delta, k) form the twin class (a, delta, k)
-    of cells.cub_quotient; the others are isolated.  n >= 6 raises
-    ValueError: a cell can have two CUB directions.
+    (cells.labelled_template); the vertices at a are its positions, and
+    <_r sorts by vertex first, so this is the order of ROrder(t, n).critical.
+    The positions at a labelled (delta, k) form the twin class (a, delta,
+    k) of cells.cub_quotient; the others are isolated.  cells is stamped
+    on first read.  A tree not subdivided for n + 2 strands raises
+    ValueError here, and so does n >= 6 (two CUB directions).
     """
     if n > 5:
         raise ValueError(N_TOO_LARGE)
-    crit = _cells.stamp(t, n, lambda deg: _cells.labelled_template(n, deg)[0])
+    _cells.check_subdivided(t, n)
     _, joins = _cells.cub_quotient(t, n)
     members, i = defaultdict(list), 0
     for a in _tree.essential_vertices(t):
@@ -248,9 +259,10 @@ def build_delta(t, n):
     # members is in order of least member; its keys are the classes
     cls = {key: j for j, key in enumerate(members)}
     return DeltaGraph.from_quotient(
-        len(crit), list(members.values()),
+        i, list(members.values()),
         [frozenset(cls[q] for q in joins[key]) for key in members],
-        cells=crit, n=n)
+        partial(_cells.stamp, t, n,
+                lambda deg: _cells.labelled_template(n, deg)[0]), n=n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -677,6 +678,39 @@ class TestForgedDelta:
                 "detect-n": ["detect-n", "--delta", fake],
                 "iso": ["iso", fake, real, "--delta"]}[verb]
         assert run(capsys, *argv)[0] == 3
+
+
+class TestCollectorPause:
+    @pytest.fixture
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case, code", [("good", 0), ("bad label", 2),
+                                            ("too deep", 2), ("missing", 2)])
+    def test_state_restored(self, capsys, tmp_path, monkeypatch, restore_gc,
+                            case, code, enabled):
+        dg = D.build_delta(T.subdivide_for(T.parse_tree(T_MIN), 4), 4)
+        obj = dg.to_json()
+        if case == "bad label":
+            obj["vertices"][3]["cell"]["x"][0] = "0"
+        p = tmp_path / "d.json"
+        if case != "missing":
+            p.write_text("[" * 200000 if case == "too deep" else
+                         json.dumps(obj))
+        from_json, seen = D.DeltaGraph.from_json, []
+
+        def watched(obj):
+            seen.append(gc.isenabled())
+            return from_json(obj)
+
+        monkeypatch.setattr(D.DeltaGraph, "from_json", watched)
+        (gc.enable if enabled else gc.disable)()
+        assert run(capsys, "detect-n", "--delta", str(p))[0] == code
+        assert gc.isenabled() is enabled
+        assert seen == ([False] if case in ("good", "bad label") else [])
 
 
 class TestDeterminism:

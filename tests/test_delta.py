@@ -755,6 +755,51 @@ class TestLayers:
         assert dg.cells == first.critical
 
 
+class TestLabelsOnDemand:
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("text", [T_MIN, path_tree([3, 4, 5])])
+    def test_queries_make_no_cells(self, text, n, even):
+        built = D.build_delta(T.subdivide_for(T.parse_tree(text), n), n)
+        obj = built.to_json()
+        if even:  # labelled only on even ids
+            for v in obj["vertices"][1::2]:
+                del v["cell"]
+        dg = D.DeltaGraph.from_json(json.loads(json.dumps(obj)))
+        D.reconstruct_tree(dg, n)
+        assert D.detect_n(dg) == n
+        assert D.decide_isomorphic(dg, dg)
+        assert "cells" not in dg.__dict__
+        assert dg.cells == [None if even and i % 2 else c
+                            for i, c in enumerate(built.cells)]
+
+    def test_build_stamps_nothing(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("stamped")
+
+        monkeypatch.setattr(C, "stamp", boom)
+        for text in (T_MIN, path_tree([3, 4, 5])):
+            for n in (4, 5):
+                t = T.subdivide_for(T.parse_tree(text), n)
+                dg = D.build_delta(t, n)
+                assert (dg.num_vertices, len(dg.edges)) \
+                    == C.count_critical_cells(t, n)
+                assert T.trees_homeomorphic(D.reconstruct_tree(dg, n), t)
+                with pytest.raises(AssertionError, match="stamped"):
+                    dg.cells
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_unsubdivided_refused_at_build(self, n):
+        with pytest.raises(ValueError, match="not sufficiently subdivided"):
+            D.build_delta(T.parse_tree(T_MIN), n)
+
+    def test_given_cells_kept(self):
+        c0, c1 = C.ReducedOneCell(0, 1, (0, 1, 1)), None
+        dg = D.DeltaGraph(2, [(0, 1)], cells=iter([c0, c1]))
+        assert dg.cells == [c0, c1]
+        assert D.DeltaGraph(2, [(0, 1)]).cells is None
+
+
 class TestSerialization:
     def test_json_and_dot_pinned(self):
         # the bytes of both formats, labelled and not, key order included
